@@ -11,12 +11,12 @@ current secondary network, so correctness never rests on the estimator.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .. import perf
 from ..netlist import Network, compute_levels, min_sops, node_level
 from ..netlist.encode import encode_network
-from ..sat import Solver
+from ..sat import DEFAULT_CONFIG, Solver, SolverConfig
 from ..sat.portfolio import (
     GLOBAL_UNSAT_CACHE,
     PortfolioRunner,
@@ -54,9 +54,17 @@ class ExactCareChecker:
 class SatCareChecker:
     """Unreachability by simulation pre-filter + SAT proof.
 
-    The SAT instance encodes the primary network (which contains the Σ1
-    node) and the *current* secondary network over shared PIs; a cube is
-    unreachable iff ``!Σ1 AND (fan-ins of j in cube)`` is UNSAT.
+    A cube of node ``j`` is unreachable iff ``!Σ1 AND (fan-ins of j in
+    cube)`` is UNSAT over the primary network (which contains the Σ1
+    node) and the *current* secondary network, sharing their PIs.  Every
+    portfolio mode, ``off`` included, answers that query on one
+    encoding: the primary network restricted to Σ1's fan-in cone, plus
+    the secondary network grown lazily one queried cube cone at a time
+    (:meth:`_require_sec_cone`).  The shared ``!Σ1`` assumption is kept
+    propagated between queries (``keep_prefix=1``).  Verdicts equal those
+    of a full encoding of both networks whenever the query settles within
+    its conflict budget; ``secondary.sat.unknown`` counts the queries
+    that do not (their cubes are kept, which is always safe).
 
     Every satisfiable query yields a *witness*: the model's PI assignment
     reaches the queried cube outside the window.  Witnesses stay valid for
@@ -87,8 +95,8 @@ class SatCareChecker:
         self.sigma_nid = sigma_nid
         self.secondary_net = secondary_net
         self.portfolio = resolve_portfolio(sat_portfolio)
-        self._solver: Optional[Solver] = None
-        self._runner: Optional[PortfolioRunner] = None
+        self._solver: Optional[Solver] = None  # ``off``: the one solver
+        self._runner: Optional[PortfolioRunner] = None  # racing modes
         self._sec_vars: Dict[int, int] = {}
         self._pi_vars: List[int] = []
         self._sigma_var = 0
@@ -127,59 +135,58 @@ class SatCareChecker:
         # mutated secondary network.
         self._wit_model = None
 
-    def _ensure_encoding(self) -> None:
-        if self._solver is not None:
-            return
-        solver = Solver()
-        prim_vars = encode_network(solver, self.primary_net)
-        pi_vars = [prim_vars[pi] for pi in self.primary_net.pis]
-        self._sec_vars = encode_network(
-            solver, self.secondary_net, pi_vars=pi_vars
+    def _build(self, config: SolverConfig) -> Solver:
+        """A fresh solver holding the checker's current clause stream.
+
+        Restricts the primary encoding to Σ1's cone: the query only
+        constrains Σ1, and a SAT answer is a *total* assignment of every
+        encoded variable, so nodes outside the cone are pure propagation
+        cost.  The secondary network starts *empty* (PIs only) and grows
+        lazily, one queried cube cone at a time (see
+        :meth:`_require_sec_cone`) — the median query constrains a few
+        dozen of its hundreds of nodes.  Every solver built here replays
+        the identical clause stream (primary cone, then the recorded cone
+        batches in order), so the variable maps from the first build hold
+        for all of them.
+        """
+        solver = Solver(config)
+        prim_vars = encode_network(
+            solver, self.primary_net, roots=[self.sigma_nid]
         )
+        pi_vars = [prim_vars[pi] for pi in self.primary_net.pis]
+        sec_vars = dict(zip(self.secondary_net.pis, pi_vars))
+        for batch in self._enc_batches:
+            encode_network(
+                solver,
+                self.secondary_net,
+                pi_vars=pi_vars,
+                roots=batch,
+                var_of=sec_vars,
+            )
+        self._sec_vars = sec_vars
         self._pi_vars = pi_vars
         self._sigma_var = prim_vars[self.sigma_nid]
-        self._solver = solver
+        return solver
 
-    def _ensure_runner(self) -> None:
-        if self._runner is not None:
+    def _ensure_solvers(self) -> None:
+        """Build the ``off`` solver or the portfolio's baseline racer."""
+        if self._solver is not None or self._runner is not None:
             return
+        self._enc_batches = []
+        if self.portfolio.mode == "off":
+            self._solver = self._build(DEFAULT_CONFIG)
+        else:
+            self._runner = PortfolioRunner(self.portfolio, self._build)
+            self._runner.solver(0)  # materialize the maps for queries
 
-        def build(config) -> Solver:
-            solver = Solver(config)
-            # Restrict the primary encoding to Σ1's cone: the query only
-            # constrains Σ1, and a SAT answer is a *total* assignment of
-            # every encoded variable, so nodes outside the cone are pure
-            # propagation cost.  The secondary network starts *empty*
-            # (PIs only) and grows lazily, one queried cube cone at a
-            # time (see :meth:`_require_sec_cone`) — the median query
-            # constrains a few dozen of its hundreds of nodes.  Every
-            # racer replays the identical clause stream (primary cone,
-            # then the recorded cone batches in order), so the variable
-            # maps from the first build hold for all of them.
-            prim_vars = encode_network(
-                solver, self.primary_net, roots=[self.sigma_nid]
-            )
-            pi_vars = [prim_vars[pi] for pi in self.primary_net.pis]
-            sec_vars = dict(zip(self.secondary_net.pis, pi_vars))
-            for batch in self._enc_batches:
-                encode_network(
-                    solver,
-                    self.secondary_net,
-                    pi_vars=pi_vars,
-                    roots=batch,
-                    var_of=sec_vars,
-                )
-            self._sec_vars = sec_vars
-            self._pi_vars = pi_vars
-            self._sigma_var = prim_vars[self.sigma_nid]
-            return solver
-
-        self._enc_batches: List[tuple] = []
-        self._runner = PortfolioRunner(self.portfolio, build)
-        self._runner.solver(0)  # materialize the maps for query building
+    def _built(self) -> List[Tuple[int, Solver]]:
+        """Every solver that exists now, as (config index, solver)."""
+        if self._runner is not None:
+            return self._runner.built()
+        return [(0, self._solver)]
 
     def _require_sec_cone(self, roots: List[int]) -> None:
-        """Lazily encode the fan-in cones of ``roots`` into every racer.
+        """Lazily encode the fan-in cones of ``roots`` into every solver.
 
         A query's verdict depends only on Σ1's cone and the constrained
         fan-ins' cones; an UNSAT answer over the encoded subset implies
@@ -195,7 +202,7 @@ class SatCareChecker:
         batch = tuple(roots)
         self._enc_batches.append(batch)
         base = dict(self._sec_vars)
-        for index, solver in self._runner.built():
+        for index, solver in self._built():
             solver.reset()  # clauses may only be added at level 0
             encode_network(
                 solver,
@@ -203,7 +210,7 @@ class SatCareChecker:
                 pi_vars=self._pi_vars,
                 roots=batch,
                 # Identical clause streams give identical numbering, so
-                # only the first racer needs to grow the shared map.
+                # only the first solver needs to grow the shared map.
                 var_of=self._sec_vars if index == 0 else dict(base),
             )
 
@@ -286,9 +293,9 @@ class SatCareChecker:
     def _harvest_witness(self, solver: Solver) -> None:
         """Pool a SAT model's PI assignment as a witness.
 
-        ``solver`` is whichever solver produced the model — the single
-        encoding in ``off`` mode, or the winning racer — so witnesses
-        found by any configuration feed every later fast-path check.
+        ``solver`` is whichever solver produced the model — the one
+        solver in ``off`` mode, or the winning racer — so witnesses found
+        by any configuration feed every later fast-path check.
         """
         if len(self._witness_pis) >= WITNESS_POOL_LIMIT:
             return
@@ -342,55 +349,47 @@ class SatCareChecker:
         if wit is not None and wit.cube_condition(nid, cube):
             perf.incr("secondary.witness.hit")
             return False
-        if self.portfolio.mode != "off":
-            return self._cube_unreachable_portfolio(nid, cube)
-        self._ensure_encoding()
+        # Racing modes consult the process-global UNSAT cache; ``off``
+        # never does, so its verdicts cannot depend on cache or store
+        # state (warm == cold, serial == parallel).
+        racing = self.portfolio.mode != "off"
+        if racing:
+            key = self._query_key(nid, cube)
+            if GLOBAL_UNSAT_CACHE.hit(key):
+                return True
+        self._ensure_solvers()
         node = self.secondary_net.nodes[nid]
+        self._require_sec_cone(
+            [node.fanins[var] for var, _ in cube.literals()]
+        )
         assumptions = [-self._sigma_var]
         for var, pol in cube.literals():
             sv = self._sec_vars[node.fanins[var]]
             assumptions.append(sv if pol else -sv)
         # Budgeted query: unknown is treated as reachable (no drop), which
-        # is always safe.
+        # is always safe.  ``keep_prefix=1`` keeps the propagated ``!Σ1``
+        # decision level alive between queries — on propagation-bound
+        # workloads re-deriving that prefix dominates the per-query cost.
         perf.incr("secondary.sat.calls")
         start = time.perf_counter()
-        result = self._solver.solve(
-            assumptions, max_conflicts=self.max_conflicts
-        )
+        if racing:
+            result = self._runner.solve(
+                assumptions,
+                baseline_conflicts=self.max_conflicts,
+                keep_prefix=1,
+            )
+            solver = self._runner.winner
+        else:
+            solver = self._solver
+            result = solver.solve(
+                assumptions, max_conflicts=self.max_conflicts, keep_prefix=1
+            )
         perf.observe("sat.query.secondary", time.perf_counter() - start)
-        if result is True:
-            self._harvest_witness(self._solver)
-        return result is False
-
-    def _cube_unreachable_portfolio(self, nid: int, cube: Cube) -> bool:
-        """Portfolio-mode query: UNSAT cache, then sprint/race.
-
-        ``keep_prefix=1`` keeps the propagated ``!Σ1`` decision level
-        alive between queries — on propagation-bound workloads re-deriving
-        that prefix dominates the per-query cost.
-        """
-        key = self._query_key(nid, cube)
-        if GLOBAL_UNSAT_CACHE.hit(key):
-            return True
-        self._ensure_runner()
-        node = self.secondary_net.nodes[nid]
-        roots = [node.fanins[var] for var, _ in cube.literals()]
-        self._require_sec_cone(roots)
-        assumptions = [-self._sigma_var]
-        for var, pol in cube.literals():
-            sv = self._sec_vars[node.fanins[var]]
-            assumptions.append(sv if pol else -sv)
-        perf.incr("secondary.sat.calls")
-        start = time.perf_counter()
-        result = self._runner.solve(
-            assumptions,
-            baseline_conflicts=self.max_conflicts,
-            keep_prefix=1,
-        )
-        perf.observe("sat.query.secondary", time.perf_counter() - start)
-        if result is True:
-            self._harvest_witness(self._runner.winner)
-        elif result is False:
+        if result is None:
+            perf.incr("secondary.sat.unknown")
+        elif result:
+            self._harvest_witness(solver)
+        elif racing:
             GLOBAL_UNSAT_CACHE.add(key)
         return result is False
 
