@@ -152,34 +152,43 @@ DEFAULT_CONFIG = SolverConfig()
 
 
 class _VarHeap:
-    """Indexed max-heap on variable activity."""
+    """Indexed max-heap on variable activity.
+
+    ``pos[var]`` is the variable's heap index, or -1 when it is not in
+    the heap; the list grows on demand as variables are pushed.
+    """
 
     def __init__(self) -> None:
         self.heap: List[int] = []
-        self.pos: Dict[int, int] = {}
+        self.pos: List[int] = []
 
     def __contains__(self, var: int) -> bool:
-        return var in self.pos
+        return var < len(self.pos) and self.pos[var] >= 0
 
     def push(self, var: int, activity: List[float]) -> None:
-        if var in self.pos:
+        pos = self.pos
+        if var >= len(pos):
+            pos.extend([-1] * (var + 1 - len(pos)))
+        elif pos[var] >= 0:
             return
-        self.heap.append(var)
-        self.pos[var] = len(self.heap) - 1
-        self._up(len(self.heap) - 1, activity)
+        heap = self.heap
+        heap.append(var)
+        pos[var] = len(heap) - 1
+        self._up(len(heap) - 1, activity)
 
     def pop(self, activity: List[float]) -> int:
-        top = self.heap[0]
-        last = self.heap.pop()
-        del self.pos[top]
-        if self.heap:
-            self.heap[0] = last
+        heap = self.heap
+        top = heap[0]
+        last = heap.pop()
+        self.pos[top] = -1
+        if heap:
+            heap[0] = last
             self.pos[last] = 0
             self._down(0, activity)
         return top
 
     def update(self, var: int, activity: List[float]) -> None:
-        if var in self.pos:
+        if var in self:
             self._up(self.pos[var], activity)
 
     def _up(self, i: int, act: List[float]) -> None:
@@ -233,6 +242,7 @@ class Solver:
         self.var_inc = 1.0
         self.phase: List[int] = []
         self.heap = _VarHeap()
+        self._seen: List[bool] = []  # _analyze scratch, all False between calls
         self.ok = True
         self.num_conflicts = 0
         self.num_decisions = 0
@@ -267,6 +277,7 @@ class Solver:
             # without outweighing a single real activity bump.
             self.activity.append(self._rng.random() * 1e-3)
         self.phase.append(0)
+        self._seen.append(False)
         self.watches.append([])
         self.watches.append([])
         var = len(self.assign) - 1
@@ -349,85 +360,126 @@ class Solver:
     # -- propagation ----------------------------------------------------------
 
     def _propagate(self) -> int:
-        """Unit propagation; returns conflicting clause index or _UNDEF."""
-        while self.qhead < len(self.trail):
-            ilit = self.trail[self.qhead]
-            self.qhead += 1
-            self.num_propagations += 1
-            watch_list = self.watches[ilit]
+        """Unit propagation; returns conflicting clause index or _UNDEF.
+
+        The hot loop of the solver: attribute lookups are hoisted into
+        locals and ``_value``/``_enqueue`` are inlined.  The watch-list
+        order and every clause-literal swap are exactly those of the
+        straightforward formulation, so the search trajectory (and thus
+        every counter and model) does not depend on this tuning.
+        """
+        trail = self.trail
+        watches = self.watches
+        clauses = self.clauses
+        assign = self.assign
+        level = self.level
+        reason = self.reason
+        phase = self.phase
+        dl = len(self.trail_lim)
+        qhead = self.qhead
+        start = qhead
+        conflict = _UNDEF
+        while qhead < len(trail):
+            ilit = trail[qhead]
+            qhead += 1
+            watch_list = watches[ilit]
             new_list: List[int] = []
-            conflict = _UNDEF
+            # Normalize: watched literal being falsified is ilit^1.
+            falsified = ilit ^ 1
             i = 0
-            while i < len(watch_list):
+            n = len(watch_list)
+            while i < n:
                 ci = watch_list[i]
                 i += 1
-                clause = self.clauses[ci]
-                # Normalize: watched literal being falsified is ilit^1.
-                falsified = ilit ^ 1
+                clause = clauses[ci]
                 if clause[0] == falsified:
                     clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._value(first) == 1:
+                fval = assign[first >> 1]
+                if fval != _UNDEF and fval ^ (first & 1) == 1:
                     new_list.append(ci)
                     continue
-                # Search for a replacement watch.
-                moved = False
+                # Search for a replacement watch (any non-false literal).
                 for j in range(2, len(clause)):
-                    if self._value(clause[j]) != 0:
-                        clause[1], clause[j] = clause[j], clause[1]
-                        self.watches[clause[1] ^ 1].append(ci)
-                        moved = True
+                    lit = clause[j]
+                    val = assign[lit >> 1]
+                    if val == _UNDEF or val ^ (lit & 1) == 1:
+                        clause[1], clause[j] = lit, clause[1]
+                        watches[lit ^ 1].append(ci)
                         break
-                if moved:
-                    continue
-                # Clause is unit or conflicting.
-                new_list.append(ci)
-                if not self._enqueue(first, ci):
-                    conflict = ci
-                    new_list.extend(watch_list[i:])
-                    break
-            self.watches[ilit] = new_list
+                else:
+                    # Clause is unit or conflicting.
+                    new_list.append(ci)
+                    if fval != _UNDEF:  # first is false: conflict
+                        conflict = ci
+                        new_list.extend(watch_list[i:])
+                        break
+                    var = first >> 1
+                    value = 1 ^ (first & 1)
+                    assign[var] = value
+                    level[var] = dl
+                    reason[var] = ci
+                    phase[var] = value
+                    trail.append(first)
+            watches[ilit] = new_list
             if conflict != _UNDEF:
-                self.qhead = len(self.trail)
+                self.num_propagations += qhead - start
+                self.qhead = len(trail)
                 return conflict
+        self.num_propagations += qhead - start
+        self.qhead = qhead
         return _UNDEF
 
     # -- conflict analysis ------------------------------------------------------
 
-    def _bump(self, var: int) -> None:
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
-            for v in range(self.num_vars):
-                self.activity[v] *= 1e-100
-            self.var_inc *= 1e-100
-        self.heap.update(var, self.activity)
+    def _rescale_activity(self) -> None:
+        for v in range(self.num_vars):
+            self.activity[v] *= 1e-100
+        self.var_inc *= 1e-100
 
     def _analyze(self, conflict: int) -> (List[int], int):  # type: ignore[syntax]
-        """First-UIP learning; returns (learned clause, backtrack level)."""
+        """First-UIP learning; returns (learned clause, backtrack level).
+
+        ``self._seen`` is shared scratch: every flag is False on entry and
+        is cleared again before returning.
+        """
         learned: List[int] = [0]  # placeholder for the asserting literal
-        seen = [False] * self.num_vars
+        seen = self._seen
+        level = self.level
+        trail = self.trail
+        clauses = self.clauses
+        learned_act = self._learned
+        activity = self.activity
+        heap_pos = self.heap.pos
+        heap_up = self.heap._up
+        dl = len(self.trail_lim)
         counter = 0
         ilit = _UNDEF
-        index = len(self.trail) - 1
+        index = len(trail) - 1
         clause_idx = conflict
         while True:
-            if clause_idx in self._learned:
-                self._learned[clause_idx] += self.cla_inc
-            clause = self.clauses[clause_idx]
+            if clause_idx in learned_act:
+                learned_act[clause_idx] += self.cla_inc
+            clause = clauses[clause_idx]
             start = 0 if ilit == _UNDEF else 1
             for q in clause[start:]:
                 var = q >> 1
-                if not seen[var] and self.level[var] > 0:
+                if not seen[var] and level[var] > 0:
                     seen[var] = True
-                    self._bump(var)
-                    if self.level[var] >= self._decision_level():
+                    # VSIDS bump; the rare rescale stays a call.
+                    activity[var] += self.var_inc
+                    if activity[var] > 1e100:
+                        self._rescale_activity()
+                    if heap_pos[var] >= 0:
+                        heap_up(heap_pos[var], activity)
+                    if level[var] >= dl:
                         counter += 1
                     else:
                         learned.append(q)
             # Find the next trail literal to resolve on.
-            while not seen[self.trail[index] >> 1]:
+            while not seen[trail[index] >> 1]:
                 index -= 1
-            ilit = self.trail[index]
+            ilit = trail[index]
             index -= 1
             var = ilit >> 1
             seen[var] = False
@@ -436,36 +488,52 @@ class Solver:
                 break
             clause_idx = self.reason[var]
             # Put the resolved literal first so it is skipped above.
-            clause = self.clauses[clause_idx]
+            clause = clauses[clause_idx]
             if clause[0] != ilit:
                 pos = clause.index(ilit)
                 clause[0], clause[pos] = clause[pos], clause[0]
         learned[0] = ilit ^ 1
+        for q in learned[1:]:
+            seen[q >> 1] = False
         if len(learned) == 1:
             bt_level = 0
         else:
             # Second-highest decision level among learned literals.
             max_i = 1
             for i in range(2, len(learned)):
-                if self.level[learned[i] >> 1] > self.level[learned[max_i] >> 1]:
+                if level[learned[i] >> 1] > level[learned[max_i] >> 1]:
                     max_i = i
             learned[1], learned[max_i] = learned[max_i], learned[1]
-            bt_level = self.level[learned[1] >> 1]
+            bt_level = level[learned[1] >> 1]
         return learned, bt_level
 
     def _backtrack(self, target_level: int) -> None:
-        if self._decision_level() <= target_level:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= target_level:
             return
-        limit = self.trail_lim[target_level]
-        for ilit in reversed(self.trail[limit:]):
-            var = ilit >> 1
-            self.assign[var] = _UNDEF
-            self.reason[var] = _UNDEF
-            self.heap.push(var, self.activity)
-        del self.trail[limit:]
-        del self.trail_lim[target_level:]
+        limit = trail_lim[target_level]
+        trail = self.trail
+        assign = self.assign
+        reason = self.reason
+        heap = self.heap
+        order = heap.heap
+        pos = heap.pos
+        activity = self.activity
+        up = heap._up
+        # Unassign in reverse trail order, re-inserting into the decision
+        # heap only the variables that are not already in it.
+        for i in range(len(trail) - 1, limit - 1, -1):
+            var = trail[i] >> 1
+            assign[var] = _UNDEF
+            reason[var] = _UNDEF
+            if pos[var] < 0:
+                order.append(var)
+                pos[var] = len(order) - 1
+                up(len(order) - 1, activity)
+        del trail[limit:]
+        del trail_lim[target_level:]
         del self._assumption_levels[target_level:]
-        self.qhead = len(self.trail)
+        self.qhead = len(trail)
 
     def _learn(self, learned: List[int]) -> None:
         if len(learned) == 1:
@@ -508,9 +576,14 @@ class Solver:
 
     def _decide(self) -> int:
         polarity = self._polarity
-        while self.heap.heap:
-            var = self.heap.pop(self.activity)
-            if self.assign[var] == _UNDEF:
+        heap = self.heap
+        order = heap.heap
+        pop = heap.pop
+        assign = self.assign
+        activity = self.activity
+        while order:
+            var = pop(activity)
+            if assign[var] == _UNDEF:
                 if polarity == "saved":
                     neg = self.phase[var] == 0
                 elif polarity == "false":
