@@ -39,7 +39,13 @@ class NetNode:
 
 
 class Network:
-    """A mutable technology-independent network."""
+    """A mutable technology-independent network.
+
+    Structure (the node set, their order and fan-ins) only changes
+    through :meth:`add_pi` and :meth:`add_node`, which bump ``_version``;
+    :meth:`topo_order` is memoized per version.  :meth:`set_function`
+    changes a node's truth table only and keeps the memo.
+    """
 
     def __init__(self) -> None:
         self.nodes: Dict[int, NetNode] = {}
@@ -47,12 +53,15 @@ class Network:
         self.pos: List[Tuple[int, bool]] = []  # (node id, complemented)
         self.po_names: List[str] = []
         self._next_id = 0
+        self._version = 0
+        self._topo: Optional[Tuple[int, List[int]]] = None  # (version, order)
 
     # -- construction -----------------------------------------------------------
 
     def add_pi(self, name: Optional[str] = None) -> int:
         nid = self._next_id
         self._next_id += 1
+        self._version += 1
         self.nodes[nid] = NetNode(
             nid, "pi", [], None, name or f"pi{len(self.pis)}"
         )
@@ -70,6 +79,7 @@ class Network:
                 raise ValueError(f"unknown fan-in {f}")
         nid = self._next_id
         self._next_id += 1
+        self._version += 1
         self.nodes[nid] = NetNode(
             nid, "node", list(fanins), tt, name or f"n{nid}"
         )
@@ -100,7 +110,11 @@ class Network:
 
         Dangling nodes (e.g. freshly added window functions not yet driving
         a PO) are included so global-function models stay complete.
+        Memoized per structural version; callers get their own copy.
         """
+        memo = self._topo
+        if memo is not None and memo[0] == self._version:
+            return list(memo[1])
         state: Dict[int, int] = {}
         order: List[int] = []
         roots = [nid for nid, n in self.nodes.items() if n.kind == "node"]
@@ -124,7 +138,8 @@ class Network:
                         stack.append(f)
                     elif state.get(f) == 1:
                         raise ValueError("combinational cycle detected")
-        return order
+        self._topo = (self._version, order)
+        return list(order)
 
     def fanout_map(self) -> Dict[int, List[int]]:
         """Node id -> list of internal nodes reading it."""

@@ -110,6 +110,53 @@ class TestStructure:
         assert back.po_tts() == net.po_tts()
 
 
+class TestTopoMemo:
+    """``topo_order`` is memoized per structural version."""
+
+    def test_recomputed_after_add_node(self):
+        net, (a, b, c, n1, n2) = small_network()
+        assert net.topo_order() == [n1, n2]
+        n3 = net.add_node([n2, a], AND2)
+        assert net.topo_order() == [n1, n2, n3]
+
+    def test_recomputed_after_add_pi(self):
+        net, (a, b, c, n1, n2) = small_network()
+        net.topo_order()
+        d = net.add_pi("d")
+        n3 = net.add_node([d, n1], XOR2)
+        assert net.topo_order() == [n1, n2, n3]
+        assert net.evaluate([True, True, False, True]) == [True]
+
+    def test_set_function_keeps_order(self):
+        net, (a, b, c, n1, n2) = small_network()
+        before = net.topo_order()
+        net.set_function(n1, XOR2)
+        assert net.topo_order() == before
+        assert net.global_tts()[n1] == net.global_tts()[a] ^ net.global_tts()[b]
+
+    def test_callers_get_their_own_list(self):
+        net, (a, b, c, n1, n2) = small_network()
+        order = net.topo_order()
+        order.clear()
+        assert net.topo_order() == [n1, n2]
+
+    @pytest.mark.parametrize("copy", ["clone", "payload"])
+    def test_copies_never_share_a_stale_memo(self, copy):
+        net, (a, b, c, n1, n2) = small_network()
+        assert net.topo_order() == [n1, n2]  # memo populated
+        if copy == "clone":
+            dup = net.clone()
+        else:
+            dup = Network.from_payload(net.to_payload())
+        assert dup.topo_order() == [n1, n2]
+        n3 = dup.add_node([n2, c], AND2)
+        assert dup.topo_order() == [n1, n2, n3]
+        assert net.topo_order() == [n1, n2]
+        n4 = net.add_node([a, c], XOR2)
+        assert net.topo_order() == [n1, n2, n4]
+        assert dup.topo_order() == [n1, n2, n3]
+
+
 class TestLevelModel:
     def test_tree_level_uniform(self):
         assert tree_level([0, 0, 0, 0]) == 2
