@@ -274,7 +274,8 @@ class ReproDaemon:
         self._server: Optional[_Server] = None
         self._server_thread: Optional[threading.Thread] = None
         self._runner_threads: List[threading.Thread] = []
-        self._stop_event = threading.Event()
+        self._stop_requested = threading.Event()
+        self._stop_event = threading.Event()  # set once teardown is done
         self._stopped = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -307,15 +308,29 @@ class ReproDaemon:
 
     def request_stop(self) -> None:
         """Ask the daemon to drain and exit (signal-handler safe)."""
-        self._stop_event.set()
+        self._stop_requested.set()
 
     def stop(self) -> None:
-        """Drain and tear everything down (idempotent)."""
+        """Drain and tear everything down (idempotent and blocking).
+
+        The first caller tears down; every later or concurrent caller
+        blocks until that teardown has finished, so a return from
+        ``stop()`` always means the listener is closed.
+        """
         with self._state_lock:
-            if self._stopped:
-                return
+            first = not self._stopped
             self._stopped = True
             self._draining = True
+        self._stop_requested.set()
+        if not first:
+            self._stop_event.wait()
+            return
+        try:
+            self._teardown()
+        finally:
+            self._stop_event.set()
+
+    def _teardown(self) -> None:
         remove_endpoint(self.endpoint_file)
         if self._server is not None:
             self._server.shutdown()  # no new connections dispatched
@@ -333,11 +348,10 @@ class ReproDaemon:
             entries, self._pool = list(self._pool.values()), {}
         for entry in entries:
             entry.optimizer.close()
-        self._stop_event.set()
 
     def wait(self) -> None:
         """Block until a stop is requested (signal or shutdown op)."""
-        self._stop_event.wait()
+        self._stop_requested.wait()
 
     def serve_forever(self, on_ready=None) -> None:
         """Run until SIGTERM/SIGINT (or a shutdown request), then drain.
@@ -378,7 +392,6 @@ class ReproDaemon:
     def _shutdown_later(self) -> None:
         # Give the ack a moment to flush before the listener dies.
         time.sleep(0.05)
-        self.request_stop()
         self.stop()
 
     def _handle_submit(self, request: Dict[str, Any]) -> Dict[str, Any]:

@@ -17,6 +17,7 @@ from repro.adders import ripple_carry_adder
 from repro.aig import read_aag, write_aag
 from repro.cec import check_equivalence
 from repro.serve import ReproDaemon, ServeClient, ServeError
+from repro.serve import daemon as daemon_module
 from repro.store import runtime as store_runtime
 
 
@@ -81,6 +82,42 @@ class TestLifecycle:
         daemon.stop()
         with pytest.raises(ServeError):
             client.status()
+
+    def test_concurrent_stop_waits_for_teardown(self, daemon, monkeypatch):
+        # The first stop() is held at the start of its teardown, while the
+        # listener still serves.  A second stop() must block until that
+        # teardown is done instead of returning early.  Its wait on the
+        # completion event is what releases the first caller, so the
+        # interleaving is forced without sleeps.
+        release = threading.Event()
+        held = threading.Event()
+        remove_endpoint = daemon_module.remove_endpoint
+
+        def held_remove_endpoint(path):
+            held.set()
+            release.wait()
+            remove_endpoint(path)
+
+        class _ReleaseOnWait(threading.Event):
+            def wait(self, timeout=None):
+                release.set()
+                return super().wait(timeout)
+
+        monkeypatch.setattr(
+            daemon_module, "remove_endpoint", held_remove_endpoint
+        )
+        daemon._stop_event = _ReleaseOnWait()
+        first = threading.Thread(target=daemon.stop)
+        first.start()
+        try:
+            assert held.wait(timeout=30)
+            daemon.stop()
+            assert daemon._stop_event.is_set()
+            assert not _client(daemon).ping()
+        finally:
+            release.set()
+            first.join(timeout=30)
+        assert not first.is_alive()
 
 
 class TestSubmit:
