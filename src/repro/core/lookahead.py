@@ -1112,7 +1112,11 @@ class LookaheadOptimizer:
         cached_payload: Set[int] = set()
         pruned: List[Tuple[int, int, Tuple, Tuple]] = []
         features: Dict[int, List[float]] = {}
-        with perf.timer("phase.dispatch"):
+        # The first dispatched cone triggers the lazy renode, and serial
+        # sim rounds compute SPCFs here; both have timers of their own.
+        with perf.timer(
+            "phase.dispatch", exclude=("phase.renode", "phase.spcf")
+        ):
             for po_index, fp, spcf_key, cfg_key in window:
                 po_lit = aig.pos[po_index]
                 fp_by_po[po_index] = fp
@@ -1189,10 +1193,11 @@ class LookaheadOptimizer:
         else:
             results = [_run_cone_task(task) for task in tasks]
             perf.incr("rounds.serial")
-        elapsed = time.perf_counter() - start
-        perf.add_time(
-            "workers.capacity", elapsed * min(nworkers, max(1, len(tasks)))
-        )
+        if parallel:
+            perf.add_time(
+                "workers.capacity",
+                (time.perf_counter() - start) * min(nworkers, len(tasks)),
+            )
 
         processed: List[Tuple[int, Network, int, Network]] = []
         for (
@@ -1200,8 +1205,10 @@ class LookaheadOptimizer:
             counters,
         ) in results:
             for name, seconds in phases.items():
-                target = "workers.busy" if name == "total" else f"phase.{name}"
-                perf.add_time(target, seconds)
+                if name != "total":
+                    perf.add_time(f"phase.{name}", seconds)
+                elif parallel:
+                    perf.add_time("workers.busy", seconds)
             if parallel:
                 # Worker-registry counters (tiers, prefilter, cache pools)
                 # only exist in the worker process; fold the task's delta

@@ -24,7 +24,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 
 class PerfRegistry:
@@ -58,13 +58,22 @@ class PerfRegistry:
             self._timers[name] = (total + seconds, count + calls)
 
     @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Scope whose wall time is credited to timer ``name``."""
+    def timer(self, name: str, exclude: Sequence[str] = ()) -> Iterator[None]:
+        """Scope whose wall time is credited to timer ``name``.
+
+        Time credited to the ``exclude`` timers while the scope runs
+        (nested work with a timer of its own) is left out, so the two
+        timers never count the same seconds.
+        """
+        nested = sum(self.seconds(n) for n in exclude)
         start = time.perf_counter()
         try:
             yield
         finally:
-            self.add_time(name, time.perf_counter() - start)
+            elapsed = time.perf_counter() - start
+            if exclude:
+                elapsed -= sum(self.seconds(n) for n in exclude) - nested
+            self.add_time(name, elapsed)
 
     def seconds(self, name: str) -> float:
         """Accumulated wall time of a timer (0.0 if never used)."""

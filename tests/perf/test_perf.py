@@ -25,6 +25,14 @@ class TestPerfRegistry:
         assert snap["timers"]["t"]["calls"] == 2
         assert snap["timers"]["t"]["seconds"] >= 0.01
 
+    def test_timer_excludes_nested_timers(self):
+        reg = PerfRegistry()
+        with reg.timer("outer", exclude=("inner",)):
+            with reg.timer("inner"):
+                time.sleep(0.05)
+        assert reg.seconds("inner") >= 0.05
+        assert 0.0 <= reg.seconds("outer") < reg.seconds("inner")
+
     def test_snapshot_merge(self):
         a, b = PerfRegistry(), PerfRegistry()
         a.incr("hits", 2)

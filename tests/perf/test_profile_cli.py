@@ -8,6 +8,7 @@ counter deltas are merged back into the parent registry.
 """
 
 import sys
+import time
 
 import pytest
 
@@ -73,6 +74,29 @@ def test_worker_counters_merge_into_parent():
     parallel = perf.counter("spcf.tier.signature")
     assert serial > 0
     assert parallel == serial
+
+
+def test_dispatch_timer_excludes_renode(monkeypatch):
+    # A renode slower than any plausible dispatch: were phase.dispatch
+    # still wrapping the lazy renode, it would be at least as long.
+    from repro.core import lookahead
+
+    real_renode = lookahead.renode
+
+    def slow_renode(*args, **kwargs):
+        time.sleep(1.0)
+        return real_renode(*args, **kwargs)
+
+    monkeypatch.setattr(lookahead, "renode", slow_renode)
+    perf.reset()
+    with LookaheadOptimizer(max_rounds=1, mode="sim", workers=1) as opt:
+        opt.optimize(ripple_carry_adder(6))
+    assert perf.seconds("phase.renode") >= 1.0
+    assert 0.0 < perf.seconds("phase.dispatch") < 1.0
+    # Worker utilization is only meaningful for parallel rounds.
+    timers = perf.snapshot()["timers"]
+    assert "workers.busy" not in timers
+    assert "workers.capacity" not in timers
 
 
 def test_fuzz_profile_flag(capsys, tmp_path):
