@@ -4,14 +4,15 @@ Cubes of a node's on/off minimum SOPs that are *unreachable* when Σ1 = 0
 become don't-cares and the node function is re-minimized (the paper,
 Sec. 3.1).  Unreachability is proved, never guessed: the exact model counts
 minterms exactly; the signature model pre-filters with simulation and
-confirms with a SAT query spanning the (Σ1-bearing) primary network and the
-current secondary network, so correctness never rests on the estimator.
+confirms with a SAT query over Σ1's cone of the primary network and the
+constrained cones of the current secondary network, so correctness never
+rests on the estimator.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .. import perf
 from ..netlist import Network, compute_levels, min_sops, node_level
@@ -179,12 +180,6 @@ class SatCareChecker:
             self._runner = PortfolioRunner(self.portfolio, self._build)
             self._runner.solver(0)  # materialize the maps for queries
 
-    def _built(self) -> List[Tuple[int, Solver]]:
-        """Every solver that exists now, as (config index, solver)."""
-        if self._runner is not None:
-            return self._runner.built()
-        return [(0, self._solver)]
-
     def _require_sec_cone(self, roots: List[int]) -> None:
         """Lazily encode the fan-in cones of ``roots`` into every solver.
 
@@ -202,7 +197,11 @@ class SatCareChecker:
         batch = tuple(roots)
         self._enc_batches.append(batch)
         base = dict(self._sec_vars)
-        for index, solver in self._built():
+        if self._runner is not None:
+            built = self._runner.built()
+        else:
+            built = [(0, self._solver)]
+        for index, solver in built:
             solver.reset()  # clauses may only be added at level 0
             encode_network(
                 solver,

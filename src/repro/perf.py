@@ -36,6 +36,7 @@ class PerfRegistry:
         self._timers: Dict[str, Tuple[float, int]] = {}  # total s, calls
         # name -> [count, total s, max s, {log2-microsecond bucket: count}]
         self._hists: Dict[str, list] = {}
+        self._scopes = threading.local()  # per-thread open timer scopes
 
     # -- counters ----------------------------------------------------------
 
@@ -61,19 +62,23 @@ class PerfRegistry:
     def timer(self, name: str, exclude: Sequence[str] = ()) -> Iterator[None]:
         """Scope whose wall time is credited to timer ``name``.
 
-        Time credited to the ``exclude`` timers while the scope runs
-        (nested work with a timer of its own) is left out, so the two
-        timers never count the same seconds.
+        Scopes of the ``exclude`` timers opened directly inside this one
+        (nested work with a timer of its own) are left out of its time,
+        so the two timers never count the same seconds.  Scopes nest per
+        thread: concurrent threads never subtract each other's time.
         """
-        nested = sum(self.seconds(n) for n in exclude)
+        stack = self._scopes.__dict__.setdefault("stack", [])
+        frame = [exclude, 0.0]  # excluded child names, their seconds
+        stack.append(frame)
         start = time.perf_counter()
         try:
             yield
         finally:
             elapsed = time.perf_counter() - start
-            if exclude:
-                elapsed -= sum(self.seconds(n) for n in exclude) - nested
-            self.add_time(name, elapsed)
+            stack.pop()
+            if stack and name in stack[-1][0]:
+                stack[-1][1] += elapsed
+            self.add_time(name, elapsed - frame[1])
 
     def seconds(self, name: str) -> float:
         """Accumulated wall time of a timer (0.0 if never used)."""

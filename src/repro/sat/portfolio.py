@@ -20,8 +20,11 @@ first answer.  This module implements a deterministic variant:
 
 Determinism: the schedule is a fixed rotation with fixed budgets — no
 wall-clock, no threads — so a given mode is reproducible run-to-run.
-``off`` short-circuits before any portfolio logic and is bit-identical
-to the historical single-config flow.
+``off`` builds no runner and never touches the UNSAT cache: callers
+answer each query with one baseline solver on the same (restricted,
+lazily grown) encoding the racers use, so ``off`` is deterministic and
+independent of cache and store state, but not SAT-call-identical to
+flows that encoded the full formula.
 """
 
 from __future__ import annotations

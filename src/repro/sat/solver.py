@@ -242,7 +242,7 @@ class Solver:
         self.var_inc = 1.0
         self.phase: List[int] = []
         self.heap = _VarHeap()
-        self._seen: List[bool] = []  # _analyze scratch, all False between calls
+        self._seen: List[bool] = []  # _analyze buffer, all False between calls
         self.ok = True
         self.num_conflicts = 0
         self.num_decisions = 0
@@ -440,8 +440,8 @@ class Solver:
     def _analyze(self, conflict: int) -> (List[int], int):  # type: ignore[syntax]
         """First-UIP learning; returns (learned clause, backtrack level).
 
-        ``self._seen`` is shared scratch: every flag is False on entry and
-        is cleared again before returning.
+        ``self._seen`` is a reused work buffer: every flag is False on
+        entry and is cleared again before returning.
         """
         learned: List[int] = [0]  # placeholder for the asserting literal
         seen = self._seen

@@ -132,7 +132,8 @@ class TestTopoMemo:
         before = net.topo_order()
         net.set_function(n1, XOR2)
         assert net.topo_order() == before
-        assert net.global_tts()[n1] == net.global_tts()[a] ^ net.global_tts()[b]
+        tts = net.global_tts()
+        assert tts[n1] == tts[a] ^ tts[b]
 
     def test_callers_get_their_own_list(self):
         net, (a, b, c, n1, n2) = small_network()

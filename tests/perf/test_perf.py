@@ -1,5 +1,6 @@
 """The repro.perf telemetry registry."""
 
+import threading
 import time
 
 import pytest
@@ -32,6 +33,20 @@ class TestPerfRegistry:
                 time.sleep(0.05)
         assert reg.seconds("inner") >= 0.05
         assert 0.0 <= reg.seconds("outer") < reg.seconds("inner")
+
+    def test_timer_exclusion_is_per_thread(self):
+        # Another thread's scope of an excluded name is not nested in
+        # this one and must not be subtracted from it.
+        reg = PerfRegistry()
+        with reg.timer("outer", exclude=("inner",)):
+            def work():
+                with reg.timer("inner"):
+                    time.sleep(0.05)
+
+            thread = threading.Thread(target=work)
+            thread.start()
+            thread.join()
+        assert reg.seconds("outer") >= 0.05
 
     def test_snapshot_merge(self):
         a, b = PerfRegistry(), PerfRegistry()
