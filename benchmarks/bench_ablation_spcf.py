@@ -27,8 +27,8 @@ CIRCUITS = {
 }
 
 MODES = {
-    "exact": dict(mode="tt", spcf_kind="exact"),
-    "overapprox": dict(mode="tt", spcf_kind="overapprox"),
+    "exact": dict(mode="tt"),
+    "overapprox": dict(mode="tt", spcf_tier="overapprox"),
     "bdd": dict(mode="bdd"),
     "simulation": dict(mode="sim", sim_width=512),
 }

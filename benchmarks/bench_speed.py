@@ -2,17 +2,17 @@
 
 Times the per-output lookahead rounds on the Table-1 adders and two
 Table-2 circuits, once serial (workers=1), once parallel (workers from
-``REPRO_WORKERS`` or 4), once serial with SAT portfolio racing
-(``--sat-portfolio race``), once serial against a disk-warm persistent
+``REPRO_WORKERS`` or 4), once serial with sprint SAT scheduling
+(``--sat-portfolio sprint``), once serial against a disk-warm persistent
 result store (``--store``; the database is seeded by one cold
 store-backed run first), and once serial behind a rank-prune gate
 fitted at recall 1.0 on the circuit's own ``--rank log`` trajectory.
 The parallel, warm-store, and rank flows must produce the bit-identical
 AIG — the store only replays memoized results, and a recall-1.0 model
-only skips rounds its training run discarded — while the race flow
-needs only identical depth/ANDs (racing may settle budget-limited SAT
-queries the single config left UNKNOWN, so bit-identity is deliberately
-not required — see DESIGN 3.19).  Writes
+only skips rounds its training run discarded — while the sprint flow
+needs only identical depth/ANDs (sprint may settle budget-limited SAT
+queries ``off`` left UNKNOWN, so bit-identity is deliberately not
+required — see DESIGN 3.19).  Writes
 schema-stable JSON rows ``{circuit, flow, seconds, depth, ands}`` to
 ``BENCH_speed.json`` so successive PRs can track the perf trajectory.
 
@@ -104,7 +104,7 @@ def run_bench(quick: bool = False, verbose: bool = True) -> List[dict]:
     flows = [("lookahead-w1", 1, "off")]
     if nworkers > 1:
         flows.append((f"lookahead-w{nworkers}", nworkers, "off"))
-    flows.append(("lookahead-w1-race", 1, "race"))
+    flows.append(("lookahead-w1-sprint", 1, "sprint"))
     for name, gen in _circuits().items():
         if quick and name not in QUICK_CIRCUITS:
             continue
@@ -212,8 +212,8 @@ def run_bench(quick: bool = False, verbose: bool = True) -> List[dict]:
             )
         reference = outputs[flows[0][0]]
         for flow_name, dumped in outputs.items():
-            if flow_name.endswith("-race"):
-                # Racing may settle budget-limited queries differently;
+            if flow_name.endswith("-sprint"):
+                # Sprint may settle budget-limited queries differently;
                 # the contract is identical QoR, not identical structure.
                 if qor[flow_name] != qor[flows[0][0]]:
                     raise AssertionError(

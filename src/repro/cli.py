@@ -30,15 +30,16 @@ import json
 import os
 import sys
 import time
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from . import perf
 from .aig import AIG, depth, read_aag, read_blif, write_aag, write_blif
 from .cec import check_equivalence
-from .core import lookahead_flow, optimize_lookahead, validate_walk_modes
+from .core import LookaheadOptimizer, OptimizerConfig, execute_optimize_job
+from .core.config import CLI_FIELDS, JOB_FLOWS
 from .mapping import dynamic_power_uw, map_aig, mapped_delay
 from .mapping.verilog import write_verilog
-from .opt import abc_resyn2rs, dc_map_effort_high, sis_best
+from .opt import BASELINE_FLOWS
 from .store import SqliteStore
 from .store.runtime import default_store_path
 from .timing import (
@@ -51,33 +52,9 @@ from .timing import (
 ArrivalMap = Optional[Dict[str, int]]
 
 
-def _arrival_agnostic(fn: Callable[[AIG], AIG], name: str):
-    """Wrap a conventional flow that has no notion of PI arrival times."""
-
-    def run(aig: AIG, arrival_times: ArrivalMap = None) -> AIG:
-        if arrival_times:
-            print(
-                f"warning: flow {name!r} ignores --arrival times",
-                file=sys.stderr,
-            )
-        return fn(aig)
-
-    return run
-
-
-FLOWS: Dict[str, Callable[..., AIG]] = {
-    "lookahead": lambda a, arrival_times=None, **kw: lookahead_flow(
-        a, arrival_times=arrival_times, **kw
-    ),
-    # optimize_lookahead context-manages the optimizer, so the worker
-    # pool is shut down when the flow finishes.
-    "lookahead-only": lambda a, arrival_times=None, **kw: optimize_lookahead(
-        a, max_rounds=12, arrival_times=arrival_times, **kw
-    ),
-    "sis": _arrival_agnostic(sis_best, "sis"),
-    "abc": _arrival_agnostic(abc_resyn2rs, "abc"),
-    "dc": _arrival_agnostic(dc_map_effort_high, "dc"),
-}
+FLOWS = tuple(sorted(JOB_FLOWS + tuple(BASELINE_FLOWS)))
+"""``repro optimize --flow`` choices: the configurable lookahead flows
+(:class:`OptimizerConfig`) and the option-free conventional baselines."""
 
 
 def _parse_arrivals(args: argparse.Namespace, aig: AIG) -> ArrivalMap:
@@ -166,54 +143,36 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     aig = _read_circuit(args.input)
     arrivals = _parse_arrivals(args, aig)
     store = _store_spec(args)
-    flow = FLOWS[args.flow]
-    flow_kwargs = {}
     if args.rank == "prune" and not args.rank_model:
         print("error: --rank prune requires --rank-model PATH",
               file=sys.stderr)
         return 2
-    if args.rank_model and args.rank != "prune":
-        print("error: --rank-model is only meaningful with --rank prune",
-              file=sys.stderr)
-        return 2
-    if args.rank_data and args.rank != "log":
-        print("error: --rank-data is only meaningful with --rank log",
-              file=sys.stderr)
-        return 2
-    if args.flow.startswith("lookahead"):
-        flow_kwargs["spcf_tier"] = args.spcf_tier
-        flow_kwargs["spcf_prefilter"] = not args.no_spcf_prefilter
-        flow_kwargs["area_recovery"] = not args.no_area_recovery
-        flow_kwargs["area_effort"] = args.area_effort
-        flow_kwargs["sat_portfolio"] = args.sat_portfolio
-        flow_kwargs["store"] = store
-        if args.walk_modes is not None:
-            flow_kwargs["walk_modes"] = validate_walk_modes(
-                [m.strip() for m in args.walk_modes.split(",") if m.strip()]
-            )
-        if args.rank != "off":
-            flow_kwargs["rank"] = args.rank
-            flow_kwargs["rank_model"] = args.rank_model
-            flow_kwargs["rank_data"] = args.rank_data
-    elif (
-        args.spcf_tier != "auto"
-        or args.no_spcf_prefilter
-        or args.no_area_recovery
-        or args.area_effort != "medium"
-        or args.sat_portfolio != "off"
-        or store is not None
-        or args.walk_modes is not None
-        or args.rank != "off"
-    ):
-        print(
-            f"warning: flow {args.flow!r} ignores --spcf-tier/"
-            "--no-spcf-prefilter/--area-effort/--no-area-recovery/"
-            "--sat-portfolio/--store/--walk-modes/--rank",
-            file=sys.stderr,
-        )
+    options = {f.name: getattr(args, f.name) for f in CLI_FIELDS}
     perf.reset()
     start = time.time()
-    optimized = flow(aig, arrival_times=arrivals, **flow_kwargs)
+    if args.flow in BASELINE_FLOWS:
+        ignored = [
+            f.metadata["cli"] for f in CLI_FIELDS
+            if options[f.name] != f.default
+        ]
+        if store is not None:
+            ignored.append("--store")
+        if arrivals:
+            ignored.append("--arrival")
+        if ignored:
+            print(
+                f"warning: flow {args.flow!r} ignores {'/'.join(ignored)}",
+                file=sys.stderr,
+            )
+        optimized = BASELINE_FLOWS[args.flow](aig)
+    else:
+        config = OptimizerConfig.for_flow(
+            args.flow, arrival_times=arrivals, **options
+        )
+        with LookaheadOptimizer(
+            config, store=store, rank_data=args.rank_data
+        ) as opt:
+            optimized = execute_optimize_job(aig, config, optimizer=opt)
     elapsed = time.time() - start
     if args.profile:
         print(perf.report(), file=sys.stderr)
@@ -591,6 +550,38 @@ def cmd_bench_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _walk_modes_arg(value: str):
+    return [m.strip() for m in value.split(",") if m.strip()]
+
+
+def _add_config_args(parser: argparse.ArgumentParser) -> None:
+    """One flag per CLI-exposed :class:`OptimizerConfig` field.
+
+    Defaults, allowed values and help come from the field, and values
+    are validated by the config itself, so a bad value fails with the
+    same ``ValueError`` as through the Python and job entry points.
+    """
+    for f in CLI_FIELDS:
+        flag, meta = f.metadata["cli"], f.metadata
+        help_text = meta["doc"] + " (lookahead flows only)"
+        if isinstance(f.default, bool):
+            parser.add_argument(
+                flag, dest=f.name, action="store_false",
+                help="do not " + help_text,
+            )
+            continue
+        kwargs = {"dest": f.name, "default": f.default}
+        if meta["choices"] is not None:
+            kwargs["metavar"] = "{" + ",".join(meta["choices"]) + "}"
+        elif f.name == "walk_modes":
+            kwargs["type"] = _walk_modes_arg
+            kwargs["metavar"] = "MODE,..."
+            help_text += f"; comma-separated, default {','.join(f.default)}"
+        else:
+            kwargs["metavar"] = "PATH"
+        parser.add_argument(flag, help=help_text, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -606,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="run an optimization flow")
     p_opt.add_argument("input")
     p_opt.add_argument("-o", "--output")
-    p_opt.add_argument("--flow", choices=sorted(FLOWS), default="lookahead")
+    p_opt.add_argument("--flow", choices=FLOWS, default=OptimizerConfig.flow)
     p_opt.add_argument(
         "--no-verify", action="store_true",
         help="skip the post-optimization equivalence check",
@@ -622,42 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
              f"(overrides ${perf.WORKERS_ENV}; 1 = serial)",
     )
     p_opt.add_argument(
-        "--spcf-tier",
-        choices=("auto", "exact", "overapprox", "signature"),
-        default="auto",
-        help="SPCF kernel tier ceiling: auto degrades exact -> "
-             "overapprox -> signature by cone support size; "
-             "exact/overapprox pin the DP flavour; signature forces the "
-             "timed-simulation estimate (lookahead flows only)",
-    )
-    p_opt.add_argument(
-        "--no-spcf-prefilter", action="store_true",
-        help="disable the floating-mode arrival bound that prunes "
-             "provably-empty SPCF DP entries (results are identical; "
-             "useful for timing comparisons)",
-    )
-    p_opt.add_argument(
-        "--area-effort", choices=("low", "medium", "high"),
-        default="medium",
-        help="post-round area-recovery effort: low = SAT sweeping only, "
-             "medium adds one incremental redundancy-removal pass, high "
-             "iterates both with enlarged budgets (lookahead flows only)",
-    )
-    p_opt.add_argument(
-        "--no-area-recovery", action="store_true",
-        help="skip post-round area recovery entirely "
-             "(lookahead flows only)",
-    )
-    p_opt.add_argument(
-        "--sat-portfolio", choices=("off", "sprint", "race"),
-        default="off",
-        help="race diversified solver configs on SAT-bound care and "
-             "redundancy queries: sprint tries a small conflict budget "
-             "on the primary config before escalating, race round-robins "
-             "the whole portfolio; off reproduces the single-config flow "
-             "bit-for-bit (lookahead flows only)",
-    )
-    p_opt.add_argument(
         "--store", nargs="?", const="", default=None, metavar="PATH",
         help="persist memo-layer results (SPCFs, rejected cones, UNSAT "
              "verdicts, witnesses, redundancy proofs) in an on-disk "
@@ -670,25 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="force a fully process-local run even when $REPRO_STORE "
              "is set",
     )
-    p_opt.add_argument(
-        "--walk-modes", metavar="MODE,...", default=None,
-        help="comma-separated critical-walk strategies (subset of "
-             "target,full; default: the optimizer's own — lookahead "
-             "flows only)",
-    )
-    p_opt.add_argument(
-        "--rank", choices=("off", "log", "prune"), default="off",
-        help="learned candidate ranking: off reproduces the unranked "
-             "flow bit-for-bit, log records per-candidate features and "
-             "outcomes (see --rank-data), prune skips candidates below "
-             "the threshold of --rank-model before any SPCF work "
-             "(lookahead flows only)",
-    )
-    p_opt.add_argument(
-        "--rank-model", metavar="PATH",
-        help="rank model artifact from `repro rank fit` (required with "
-             "--rank prune)",
-    )
+    _add_config_args(p_opt)
     p_opt.add_argument(
         "--rank-data", metavar="PATH",
         help="JSONL file appended with one feature/outcome row per "
@@ -814,8 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("input")
     p_submit.add_argument("-o", "--output")
     p_submit.add_argument(
-        "--flow", choices=("lookahead", "lookahead-only"),
-        default="lookahead",
+        "--flow", choices=JOB_FLOWS, default=OptimizerConfig.flow,
         help="served flow (daemon-side defaults mirror `repro optimize`)",
     )
     _add_arrival_args(p_submit)

@@ -25,22 +25,24 @@ from .area_recovery import (
 )
 from .sdc import sdc_minimize
 from .analysis import OutputReport, RoundReport, analyze_round, print_round_report
-from .flow import (
+from .config import (
     JOB_FLOWS,
+    RANK_MODES,
+    WALK_MODES,
+    OptimizerConfig,
+    validate_walk_modes,
+)
+from .flow import (
     execute_optimize_job,
-    job_config_key,
     lookahead_flow,
     make_job_optimizer,
     normalize_job_config,
 )
 from .lookahead import (
-    RANK_MODES,
     TT_MODE_PI_LIMIT,
-    WALK_MODES,
     LookaheadOptimizer,
     make_runtime_optimizer,
     optimize_lookahead,
-    validate_walk_modes,
 )
 
 __all__ = [
@@ -80,9 +82,9 @@ __all__ = [
     "WALK_MODES",
     "JOB_FLOWS",
     "LookaheadOptimizer",
+    "OptimizerConfig",
     "validate_walk_modes",
     "execute_optimize_job",
-    "job_config_key",
     "lookahead_flow",
     "make_job_optimizer",
     "make_runtime_optimizer",

@@ -78,7 +78,7 @@ def analyze_round(
     critical = [
         i for i, po in enumerate(aig.pos) if aig_levels[lit_var(po)] == d
     ][:max_outputs]
-    net = renode(aig, opt.k)
+    net = renode(aig, opt.config.k)
 
     pi_words: List[int] = []
     timed = None
@@ -86,9 +86,11 @@ def analyze_round(
         from ..aig import random_patterns
         from .spcf import timed_simulation, unpack_patterns
 
-        pi_words = random_patterns(aig.num_pis, opt.sim_width, opt.seed)
+        pi_words = random_patterns(
+            aig.num_pis, opt.config.sim_width, opt.config.seed
+        )
         timed = timed_simulation(
-            aig, unpack_patterns(pi_words, opt.sim_width)
+            aig, unpack_patterns(pi_words, opt.config.sim_width)
         )
 
     reports: List[OutputReport] = []
@@ -114,7 +116,7 @@ def analyze_round(
         if mode == "tt":
             model = ExactModel(cone)
         else:
-            model = SignatureModel(cone, pi_words, opt.sim_width)
+            model = SignatureModel(cone, pi_words, opt.config.sim_width)
         root, _neg = cone.pos[0]
         before = compute_levels(cone)[root]
         result = primary_reduce(cone, 0, model, model.spcf_fn(spcf))

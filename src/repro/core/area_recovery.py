@@ -291,8 +291,8 @@ class RedundancyEngine:
         """Fold a solver's counterexample into the prefilter matrix.
 
         ``solver`` is whichever solver produced the SAT model — the
-        single persistent encoding, or the winning portfolio racer — so
-        witnesses from any configuration sharpen the shared prefilter.
+        persistent ``off`` encoding or the sprint runner's — so witnesses
+        from either path sharpen the shared prefilter.
         """
         if self.aig.num_pis == 0:
             return
@@ -319,13 +319,11 @@ class RedundancyEngine:
 
             def build(config) -> Solver:
                 enc = AigCnf(Solver(config))
-                # Identical clause streams give every racer the same
-                # variable numbering, so one map serves them all.
                 self._var_map = enc.encode(self.aig)
                 return enc.solver
 
             self._runner = PortfolioRunner(self.portfolio, build)
-            self._runner.solver(0)  # materialize the variable map
+            self._runner.solver()  # materialize the variable map
         return self._runner
 
     def _verdict_key(self, keep: int, drop: int):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import perf
@@ -44,18 +45,18 @@ from ..aig import (
     lit_var,
     random_patterns,
 )
-from ..rank import RankLogger, RoundFeatureExtractor, resolve_model
+from ..rank import RankLogger, RoundFeatureExtractor
 from ..netlist import (
     ArrivalAwareBuilder,
     Network,
     renode,
     synthesize_into,
 )
-from ..sat.portfolio import MODES as PORTFOLIO_MODES
 from ..store import MISSING, StoreSpec
 from ..store import runtime as store_runtime
-from .area_recovery import AREA_EFFORTS, recover_area
+from .area_recovery import recover_area
 from .cache import ConeCache, dp_memo_cached, node_tts_cached
+from .config import OptimizerConfig
 from .model import BddBlowup, BddModel, ExactModel, SignatureModel
 from .reconstruct import reconstruct
 from .reduce import primary_reduce
@@ -80,14 +81,6 @@ TT_MODE_PI_LIMIT = 12
 BDD_MODE_PI_LIMIT = 26
 """BDD-domain exact functions are attempted up to this many PIs."""
 
-WALK_MODES = ("target", "full")
-"""Admissible critical-walk strategies for ``walk_modes``."""
-
-RANK_MODES = ("off", "log", "prune")
-"""Candidate-ranking modes: 'off' is the unranked flow bit-for-bit,
-'log' records per-candidate features and outcomes to a dataset, 'prune'
-gates candidates on a fitted model's accept probability."""
-
 BUDGET_WINDOWS = 2
 """Budget windows a round may try before giving up: when every
 replacement in the first window is rejected, the round slides once to
@@ -96,38 +89,18 @@ ending — bounded, so a terminal round costs at most twice the old
 budget."""
 
 
-def validate_walk_modes(walk_modes) -> Tuple[str, ...]:
-    """Validate a walk-mode sequence; returns it as a tuple.
-
-    Shared by the optimizer constructor, the CLI, and the serve job
-    validator so all entry points reject bad values identically.
-    """
-    if isinstance(walk_modes, str) or not isinstance(
-        walk_modes, (list, tuple)
-    ) or not walk_modes:
-        raise ValueError(
-            "walk_modes must be a non-empty list of mode names"
-        )
-    unknown_modes = [m for m in walk_modes if m not in WALK_MODES]
-    if unknown_modes:
-        raise ValueError(
-            f"unknown walk modes {unknown_modes!r}; "
-            f"expected a subset of {WALK_MODES}"
-        )
-    return tuple(walk_modes)
-
-
 # -- per-output cone pipeline (runs in worker processes) ---------------------
 #
 # A cone task is a plain picklable tuple:
 #
-#   (po_index, cone_aig | None, cone_net, mode, spcf_kind, sim_width, seed,
-#    walk_mode, spcf_payload | None, arrival_map | None, spcf_tier,
-#    spcf_prefilter, sat_portfolio, store_spec)
+#   (po_index, cone_aig | None, cone_net, mode, walk_mode,
+#    spcf_payload | None, config, store_spec)
 #
-# ``arrival_map`` is the raw PI-name -> arrival-time dict (delay-model
-# objects stay out of the tuple so pickling never depends on model state);
-# workers rebuild the cone-local timing engine from it.
+# ``mode`` is the round's resolved domain and ``config`` the optimizer's
+# :class:`OptimizerConfig`; its ``arrival_times`` is the raw PI-name ->
+# arrival-time dict (delay-model objects stay out of the tuple so pickling
+# never depends on model state), from which workers rebuild the cone-local
+# timing engine.
 #
 # ``cone_aig`` is the output's critical cone extracted over the full PI
 # space (``AIG.extract``), needed only when the SPCF is not already cached;
@@ -174,25 +147,23 @@ def _deserialize_spcf(payload: Tuple) -> Spcf:
 def _cone_result_key(
     cone_net: Network,
     mode: str,
-    sim_width: int,
-    seed: int,
     walk_mode: str,
     payload: Tuple,
-    arrival_map: Optional[Dict[str, int]],
-    sat_portfolio: str,
+    config: OptimizerConfig,
 ) -> Tuple:
     root, _neg = cone_net.pos[0]
+    arrival_map = config.arrival_times
     arrivals = tuple(sorted(arrival_map.items())) if arrival_map else None
     return (
         cone_net.node_fingerprints()[root],
         cone_net.to_payload(),
         mode,
-        sim_width,
-        seed,
+        config.sim_width,
+        config.seed,
         walk_mode,
         payload,
         arrivals,
-        sat_portfolio,
+        config.sat_portfolio,
     )
 
 
@@ -228,15 +199,7 @@ def _pi_arrival_ints(model, pi_names: Sequence[str]) -> Optional[List[int]]:
 
 
 def _cone_spcf(
-    cone_aig: AIG,
-    mode: str,
-    spcf_kind: str,
-    sim_width: int,
-    seed: int,
-    arrival_map: Optional[Dict[str, int]] = None,
-    spcf_tier: str = "auto",
-    spcf_prefilter: bool = True,
-    sat_portfolio: str = "off",
+    cone_aig: AIG, mode: str, config: OptimizerConfig
 ) -> Optional[Spcf]:
     """SPCF of a single-PO critical cone (PO index 0).
 
@@ -246,42 +209,39 @@ def _cone_spcf(
     paths may be statically unsensitizable, and a near-empty SPCF makes a
     useless weight metric — the paper's Δ is a free threshold.
 
-    ``arrival_map`` (PI name -> integer arrival) shifts the whole analysis
-    into the non-uniform arrival regime: arrivals come from a cone-local
-    timing engine and Δ is interpreted against completion times, so a late
-    PI's short structural path can be the critical one.
+    ``config.arrival_times`` (PI name -> integer arrival) shifts the
+    whole analysis into the non-uniform arrival regime: arrivals come from
+    a cone-local timing engine and Δ is interpreted against completion
+    times, so a late PI's short structural path can be the critical one.
 
     Evaluation goes through a :class:`SpcfKernel`: one kernel serves the
     whole Δ-relaxation loop, and its DP memo / node truth tables come from
     the process-local pools in :mod:`repro.core.cache`, so later rounds
-    revisiting the same cone resume a warm table.  ``spcf_tier`` /
-    ``spcf_prefilter`` carry the optimizer's tier ceiling and prefilter
-    switch into the worker process.
+    revisiting the same cone resume a warm table.  The config's
+    ``spcf_tier`` / ``spcf_prefilter`` carry the optimizer's tier ceiling
+    and prefilter switch into the worker process.
     """
-    model = resolve_arrivals(arrival_map)
+    sim_width = config.sim_width
+    model = resolve_arrivals(config.arrival_times)
     engine = AigTimingEngine(cone_aig, model)
     lvl = engine.arrivals()
     po_depth = int(lvl[lit_var(cone_aig.pos[0])])
     if po_depth == 0:
         return None
-    config = SpcfTierConfig(
+    # ``spcf_tier='signature'`` implies sim mode (OptimizerConfig).
+    tier_config = SpcfTierConfig(
         exact_limit=TT_MODE_PI_LIMIT,
         sim_width=sim_width,
-        seed=seed,
-        prefilter=spcf_prefilter,
-        force=(
-            "signature"
-            if (mode == "sim" or spcf_tier == "signature")
-            else None
-        ),
-        sat_portfolio=sat_portfolio,
+        seed=config.seed,
+        prefilter=config.spcf_prefilter,
+        force="signature" if mode == "sim" else None,
     )
-    tier = resolve_spcf_tier(cone_aig.num_pis, spcf_kind, config)
+    tier = resolve_spcf_tier(cone_aig.num_pis, config.spcf_dp, tier_config)
     if mode == "tt" and tier == "signature":
         # The reduce/simplify model of a tt-mode cone consumes truth
         # tables, so degradation is capped at the over-approximate DP.
         tier = "overapprox"
-        config.force = "overapprox"
+        tier_config.force = "overapprox"
     tts = None
     memo = relaxed_memo = None
     if tier in ("exact", "overapprox"):
@@ -292,8 +252,8 @@ def _cone_spcf(
         relaxed_memo = dp_memo_cached(fp, True, cone_aig.num_pis, model_key)
     kernel = SpcfKernel(
         cone_aig,
-        kind=spcf_kind,
-        config=config,
+        kind=config.spcf_dp,
+        config=tier_config,
         arrivals=lvl,
         pi_arrivals=_pi_arrival_ints(model, cone_aig.pi_names),
         tts=tts,
@@ -316,19 +276,17 @@ def _process_cone(
     cone_net: Network,
     spcf: Spcf,
     mode: str,
-    sim_width: int,
-    seed: int,
     walk_mode: str,
     phases: Dict[str, float],
-    arrival_map: Optional[Dict[str, int]] = None,
-    sat_portfolio: str = "off",
+    config: OptimizerConfig,
 ) -> Optional[Tuple[Network, int, Network]]:
     """Primary reduce + secondary simplify on a standalone cone network."""
+    sim_width = config.sim_width
     pos_net = cone_net
     neg_net = cone_net.clone()
     pi_words: List[int] = []
     if mode == "sim":
-        pi_words = random_patterns(len(pos_net.pis), sim_width, seed)
+        pi_words = random_patterns(len(pos_net.pis), sim_width, config.seed)
         model = SignatureModel(pos_net, pi_words, sim_width)
     else:
         model = ExactModel(pos_net)
@@ -336,7 +294,7 @@ def _process_cone(
     t0 = time.perf_counter()
     primary = primary_reduce(
         pos_net, 0, model, spcf_fn, walk_mode=walk_mode,
-        delay_model=resolve_arrivals(arrival_map),
+        delay_model=resolve_arrivals(config.arrival_times),
     )
     phases["reduce"] = phases.get("reduce", 0.0) + time.perf_counter() - t0
     if not primary.success or primary.sigma_nid is None:
@@ -351,7 +309,7 @@ def _process_cone(
             pos_net,
             primary.sigma_nid,
             neg_net,
-            sat_portfolio=sat_portfolio,
+            sat_portfolio=config.sat_portfolio,
         )
     else:
         checker = ExactCareChecker(ExactModel(neg_net), care_fn)
@@ -371,19 +329,7 @@ def _run_cone_task(task: Tuple) -> Tuple:
     paths identical by construction.
     """
     (
-        po_index,
-        cone_aig,
-        cone_net,
-        mode,
-        spcf_kind,
-        sim_width,
-        seed,
-        walk_mode,
-        payload,
-        arrival_map,
-        spcf_tier,
-        spcf_prefilter,
-        sat_portfolio,
+        po_index, cone_aig, cone_net, mode, walk_mode, payload, config,
         store_spec,
     ) = task
     # Workers rebuild their runtime store from the shipped spec (no-op
@@ -396,10 +342,7 @@ def _run_cone_task(task: Tuple) -> Tuple:
     phases: Dict[str, float] = {}
     if payload is None:
         t0 = time.perf_counter()
-        spcf = _cone_spcf(
-            cone_aig, mode, spcf_kind, sim_width, seed, arrival_map,
-            spcf_tier, spcf_prefilter, sat_portfolio,
-        )
+        spcf = _cone_spcf(cone_aig, mode, config)
         phases["spcf"] = time.perf_counter() - t0
         if spcf is not None and not spcf.is_empty():
             payload = _serialize_spcf(spcf)
@@ -414,10 +357,7 @@ def _run_cone_task(task: Tuple) -> Tuple:
         cone_ns = store_runtime.get_store().namespace(
             "cone", encode=_encode_cone_result, decode=_decode_cone_result
         )
-        key = _cone_result_key(
-            cone_net, mode, sim_width, seed, walk_mode, payload,
-            arrival_map, sat_portfolio,
-        )
+        key = _cone_result_key(cone_net, mode, walk_mode, payload, config)
         stored = cone_ns.get(key, MISSING)
         if stored is not MISSING:
             ok, pos_net, sigma_nid, neg_net, payload = stored
@@ -427,10 +367,7 @@ def _run_cone_task(task: Tuple) -> Tuple:
                 po_index, ok, pos_net, sigma_nid, neg_net, payload,
                 phases, counters,
             )
-    result = _process_cone(
-        cone_net, spcf, mode, sim_width, seed, walk_mode, phases,
-        arrival_map, sat_portfolio,
-    )
+    result = _process_cone(cone_net, spcf, mode, walk_mode, phases, config)
     phases["total"] = time.perf_counter() - start
     counters = perf.delta(before, perf.snapshot())
     if result is None:
@@ -455,127 +392,56 @@ class LookaheadOptimizer:
 
     def __init__(
         self,
-        max_rounds: int = 4,
-        k: int = 6,
-        mode: str = "auto",
-        spcf_kind: str = "exact",
-        sim_width: int = 1024,
-        seed: int = 0,
-        use_rules: bool = True,
-        max_outputs_per_round: Optional[int] = None,
-        verify: bool = False,
-        area_recovery: bool = True,
-        area_effort: str = "medium",
-        walk_modes: Tuple[str, ...] = ("target", "full"),
+        config: Optional[OptimizerConfig] = None,
+        *,
         workers: Optional[int] = None,
         cache: Optional[ConeCache] = None,
-        arrival_times: Optional[Dict[str, int]] = None,
-        spcf_tier: str = "auto",
-        spcf_prefilter: bool = True,
-        sat_portfolio: str = "off",
         store: StoreSpec = None,
-        rank: str = "off",
-        rank_model=None,
         rank_data=None,
+        **options,
     ):
         """Configure the optimizer.
 
-        ``mode``: 'tt' (exact global functions), 'sim' (signatures), or
-        'auto' (by PI count).  ``spcf_kind``: 'exact' or 'overapprox'
-        (truth-table modes only; simulation mode always estimates).
-        ``spcf_tier``: ceiling for the tiered SPCF kernels — 'auto'
-        (degrade by support size), 'exact'/'overapprox' (pin the DP
-        flavour where truth tables are feasible), or 'signature' (force
-        the timed-simulation estimate everywhere, which also selects sim
-        mode).  ``spcf_prefilter`` toggles the floating-mode arrival
-        bound that prunes provably-empty DP entries (sound, so results
-        are bit-identical either way; see ``repro.core.signatures``).
-        ``verify``: equivalence-check every accepted round (slow; tests).
+        ``config`` is an :class:`OptimizerConfig`, which declares,
+        documents and validates every option; keyword ``options`` build
+        one or override fields of ``config``, so
+        ``LookaheadOptimizer(max_rounds=2)`` and
+        ``LookaheadOptimizer(OptimizerConfig(max_rounds=2))`` are the
+        same optimizer.  The other arguments are resources, which never
+        change a result:
+
         ``workers``: worker processes for the per-output fan-out; ``None``
         defers to ``REPRO_WORKERS`` / ``os.cpu_count()`` and ``1`` forces
         the serial path (see :func:`repro.perf.get_workers`).  ``cache``:
         a :class:`ConeCache` to share across optimizers; by default each
         optimizer owns one, which persists across its ``optimize()`` calls.
-        ``arrival_times`` maps PI names to integer prescribed arrival
-        times (non-uniform regime): criticality, SPCFs, reconstruction
-        trees, and the acceptance metric all follow completion times
-        instead of raw logic depth.  ``None`` is the unit-delay model and
-        reproduces the uniform-arrival flow bit-for-bit.
-        ``area_recovery`` toggles the post-round area-recovery pipeline
-        entirely; ``area_effort`` ('low'/'medium'/'high') selects how
-        hard :func:`repro.core.recover_area` works when it is on.
-        ``sat_portfolio`` schedules the solver-bound queries (secondary
-        simplification, redundancy removal): 'off' is the historical
-        single-config path bit-for-bit, 'sprint' adds budgeted first
-        passes with prefix reuse, 'race' additionally races diversified
-        solver configurations on queries the sprint cannot settle (see
-        :mod:`repro.sat.portfolio`).
         ``store`` plugs a :mod:`repro.store` result store under every
         memo layer: a database path (or :class:`repro.store.StoreConfig`
         / ready store) installs it as the process runtime store, backs
         the optimizer's :class:`ConeCache` with it, and ships the spec to
         pool workers, so SPCF payloads, rejected-cone verdicts, UNSAT
         cubes, witnesses, and redundancy proofs survive across
-        invocations.  ``None`` (default) keeps every memo process-local —
-        bit-identical to the historical behaviour; disk-warm runs are
-        bit-identical in QoR to cold ones, just faster (DESIGN 3.20).
-        ``rank`` selects the learned candidate ranker (DESIGN 3.23):
-        'off' (default) is the unranked flow bit-for-bit, 'log' records
-        per-candidate features and outcomes through ``rank_data`` (a
-        JSONL path or :class:`repro.rank.RankLogger`; ``None`` keeps
-        rows in memory), 'prune' skips candidates scoring under the
-        threshold of ``rank_model`` (a path, payload dict, or
-        :class:`repro.rank.RankModel`) before any SPCF/reconstruction
-        work — with a zero-accept-window fallback that re-runs pruned
-        candidates ungated, so a misprediction costs latency, never QoR.
+        invocations.  ``None`` (default) keeps every memo process-local;
+        disk-warm runs are bit-identical in QoR to cold ones, just faster
+        (DESIGN 3.20).  ``rank_data`` is the ``rank='log'`` sink (a JSONL
+        path or :class:`repro.rank.RankLogger`; ``None`` keeps rows in
+        memory).  Under ``rank='prune'``, candidates scoring under the
+        model's threshold are skipped before any SPCF/reconstruction
+        work, with a zero-accept-window fallback that re-runs pruned
+        candidates ungated, so a misprediction costs latency, never QoR
+        (DESIGN 3.23).
         """
-        if spcf_tier not in ("auto", "exact", "overapprox", "signature"):
-            raise ValueError(f"unknown SPCF tier {spcf_tier!r}")
-        if rank not in RANK_MODES:
-            raise ValueError(
-                f"unknown rank mode {rank!r}; expected one of {RANK_MODES}"
-            )
-        if rank == "prune" and rank_model is None:
-            raise ValueError(
-                "rank='prune' requires a rank_model "
-                "(a model path, payload dict, or RankModel)"
-            )
-        if rank_data is not None and rank != "log":
-            raise ValueError("rank_data is only meaningful with rank='log'")
-        if sat_portfolio not in PORTFOLIO_MODES:
-            raise ValueError(
-                f"unknown SAT portfolio mode {sat_portfolio!r}; "
-                f"expected one of {PORTFOLIO_MODES}"
-            )
-        if area_effort not in AREA_EFFORTS:
-            raise ValueError(
-                f"unknown area effort {area_effort!r}; "
-                f"expected one of {AREA_EFFORTS}"
-            )
-        self.max_rounds = max_rounds
-        self.k = k
-        self.mode = mode
-        self.spcf_kind = spcf_kind
-        if spcf_tier in ("exact", "overapprox"):
-            # A pinned DP flavour rides on the existing kind machinery.
-            self.spcf_kind = spcf_tier
-        self.spcf_tier = spcf_tier
-        self.spcf_prefilter = spcf_prefilter
-        self.sat_portfolio = sat_portfolio
-        self.sim_width = sim_width
-        self.seed = seed
-        self.use_rules = use_rules
-        self.max_outputs_per_round = max_outputs_per_round
-        self.verify = verify
-        self.area_recovery = area_recovery
-        self.area_effort = area_effort
-        self.walk_modes = validate_walk_modes(walk_modes)
-        self.workers = workers
-        self.rank = rank
-        self._rank_model = (
-            resolve_model(rank_model) if rank == "prune" else None
+        self.config = config = (
+            OptimizerConfig(**options)
+            if config is None
+            else replace(config, **options)
         )
-        if rank == "log":
+        if rank_data is not None and config.rank != "log":
+            raise ValueError("rank_data is only meaningful with rank='log'")
+        self.workers = workers
+        # Resolved by the config (a RankModel under 'prune', else None).
+        self._rank_model = config.rank_model
+        if config.rank == "log":
             self.rank_logger = (
                 rank_data
                 if isinstance(rank_data, RankLogger)
@@ -600,7 +466,6 @@ class LookaheadOptimizer:
             self.cache = ConeCache(store=store_runtime.get_store())
         else:
             self.cache = ConeCache()
-        self.arrival_times = dict(arrival_times) if arrival_times else None
         self._executor: Optional[ProcessPoolExecutor] = None
         self._executor_workers = 0
 
@@ -608,7 +473,7 @@ class LookaheadOptimizer:
 
     def _delay_model(self):
         """Fresh delay model for the configured arrivals (None = unit)."""
-        return resolve_arrivals(self.arrival_times)
+        return resolve_arrivals(self.config.arrival_times)
 
     def _model_key(self) -> tuple:
         model = self._delay_model()
@@ -645,10 +510,10 @@ class LookaheadOptimizer:
         with perf.timer("optimize"):
             results = [
                 self._optimize_with(aig, walk_mode)
-                for walk_mode in self.walk_modes
+                for walk_mode in self.config.walk_modes
             ]
         winner = min(range(len(results)), key=lambda i: results[i][1])
-        self._log_call_rows(self.walk_modes[winner])
+        self._log_call_rows(self.config.walk_modes[winner])
         return results[winner][0]
 
     def _log_call_rows(self, winning_walk: str) -> None:
@@ -692,7 +557,7 @@ class LookaheadOptimizer:
         self._rank_streaks = {}
         current = aig.extract()
         current_q = self._quality(current)
-        for _round in range(self.max_rounds):
+        for _round in range(self.config.max_rounds):
             candidate = self._one_round(current, walk_mode)
             if candidate is None:
                 self._flush_rank_rows(kept=False)
@@ -702,7 +567,7 @@ class LookaheadOptimizer:
             self._flush_rank_rows(kept=kept)
             if not kept:
                 break
-            if self.verify:
+            if self.config.verify:
                 from ..cec import assert_equivalent
 
                 assert_equivalent(current, candidate, "lookahead round")
@@ -772,12 +637,10 @@ class LookaheadOptimizer:
     # -- one decomposition level ---------------------------------------------------
 
     def _resolve_mode(self, aig: AIG) -> str:
-        if self.spcf_tier == "signature":
-            # Forcing the signature tier implies the simulation domain
-            # end-to-end (SPCF, reduce model, and secondary checker).
-            return "sim"
-        if self.mode != "auto":
-            return self.mode
+        # ``spcf_tier='signature'`` arrives here as mode 'sim': the config
+        # normalizes the two spellings to one setting.
+        if self.config.mode != "auto":
+            return self.config.mode
         if aig.num_pis <= TT_MODE_PI_LIMIT:
             return "tt"
         if aig.num_pis <= BDD_MODE_PI_LIMIT:
@@ -807,7 +670,7 @@ class LookaheadOptimizer:
         def net_thunk() -> Network:
             if not net_box:
                 with perf.timer("phase.renode"):
-                    net_box.append(renode(aig, self.k))
+                    net_box.append(renode(aig, self.config.k))
             return net_box[0]
 
         if mode == "bdd":
@@ -815,8 +678,8 @@ class LookaheadOptimizer:
             # BDD round stays in-process; cones that blow up fall back to
             # the signature domain per output, as before.  The BDD path
             # has no rejection cache, so the raw budget truncation stands.
-            if self.max_outputs_per_round is not None:
-                critical = critical[: self.max_outputs_per_round]
+            if self.config.max_outputs_per_round is not None:
+                critical = critical[: self.config.max_outputs_per_round]
             processed = self._bdd_round(aig, net_thunk(), critical,
                                         aig_levels, walk_mode)
             if not processed:
@@ -837,12 +700,13 @@ class LookaheadOptimizer:
             )
             if rebuilt is None:
                 return None
-        if self.area_recovery:
+        cfg = self.config
+        if cfg.area_recovery:
             with perf.timer("phase.area"):
                 rebuilt = recover_area(
-                    rebuilt, effort=self.area_effort, seed=self.seed,
+                    rebuilt, effort=cfg.area_effort, seed=cfg.seed,
                     delay_model=self._delay_model(),
-                    sat_portfolio=self.sat_portfolio,
+                    sat_portfolio=cfg.sat_portfolio,
                 )
         return rebuilt
 
@@ -854,11 +718,11 @@ class LookaheadOptimizer:
         fp = cone_fingerprint(aig, [po_lit])
         # The model key keeps unit and prescribed-arrival runs
         # from colliding in the shared cone cache.
-        spcf_key = (fp, mode, self.spcf_kind, self.sim_width,
-                    self.seed, self._model_key(),
-                    self.spcf_tier)
+        cfg = self.config
+        spcf_key = (fp, mode, cfg.spcf_tier, cfg.sim_width, cfg.seed,
+                    self._model_key())
         cfg_key = spcf_key + (
-            walk_mode, self.k, self.use_rules, self.sat_portfolio,
+            walk_mode, cfg.k, cfg.use_rules, cfg.sat_portfolio,
         )
         return fp, spcf_key, cfg_key
 
@@ -886,7 +750,7 @@ class LookaheadOptimizer:
         runs build identical windows (the cached_cold_identical /
         store_warm_equals_cold invariants).
         """
-        budget = self.max_outputs_per_round
+        budget = self.config.max_outputs_per_round
         window: List[Tuple[int, int, Tuple, Tuple]] = []
         tail: List[int] = []
         for pos, po_index in enumerate(queue):
@@ -920,15 +784,17 @@ class LookaheadOptimizer:
         """
         queue = list(critical)
         extractor = None
-        if self.rank != "off":
+        if self.config.rank != "off":
             extractor = RoundFeatureExtractor(
                 aig,
                 aig_levels,
                 _pi_arrival_ints(self._delay_model(), aig.pi_names),
-                self.seed,
+                self.config.seed,
             )
         max_windows = (
-            1 if self.max_outputs_per_round is None else BUDGET_WINDOWS
+            1
+            if self.config.max_outputs_per_round is None
+            else BUDGET_WINDOWS
         )
         for window_index in range(max_windows):
             if window_index:
@@ -1079,7 +945,7 @@ class LookaheadOptimizer:
         """
         nworkers = perf.get_workers(self.workers)
         gating = gate and self._rank_model is not None
-        want_features = self.rank == "log" or gating
+        want_features = self.config.rank == "log" or gating
 
         # On the serial path, sim-mode SPCFs come from one shared timed
         # simulation of the whole circuit (cone-local simulation yields
@@ -1090,11 +956,11 @@ class LookaheadOptimizer:
         def shared_spcf(po_index: int) -> Optional[Spcf]:
             if not shared_sim:
                 pi_words = random_patterns(
-                    aig.num_pis, self.sim_width, self.seed
+                    aig.num_pis, self.config.sim_width, self.config.seed
                 )
                 timed = timed_simulation(
                     aig,
-                    unpack_patterns(pi_words, self.sim_width),
+                    unpack_patterns(pi_words, self.config.sim_width),
                     pi_arrivals=_pi_arrival_ints(
                         self._delay_model(), aig.pi_names
                     ),
@@ -1171,15 +1037,9 @@ class LookaheadOptimizer:
                         cone_aig,
                         cone_net,
                         mode,
-                        self.spcf_kind,
-                        self.sim_width,
-                        self.seed,
                         walk_mode,
                         payload,
-                        self.arrival_times,
-                        self.spcf_tier,
-                        self.spcf_prefilter,
-                        self.sat_portfolio,
+                        self.config,
                         store_runtime.current_spec(),
                     )
                 )
@@ -1249,9 +1109,9 @@ class LookaheadOptimizer:
             nonlocal pi_words, timed
             if timed is None:
                 pi_words = random_patterns(
-                    aig.num_pis, self.sim_width, self.seed
+                    aig.num_pis, self.config.sim_width, self.config.seed
                 )
-                pi_bits = unpack_patterns(pi_words, self.sim_width)
+                pi_bits = unpack_patterns(pi_words, self.config.sim_width)
                 timed = timed_simulation(
                     aig,
                     pi_bits,
@@ -1309,7 +1169,7 @@ class LookaheadOptimizer:
         if po_depth == 0:
             return None
         if mode == "tt":
-            perf.incr(f"spcf.tier.{self.spcf_kind}")
+            perf.incr(f"spcf.tier.{self.config.spcf_dp}")
         elif mode == "bdd":
             perf.incr("spcf.tier.bdd")
         else:
@@ -1317,12 +1177,13 @@ class LookaheadOptimizer:
         # Start at the full output depth and relax: longest paths may be
         # false (statically unsensitizable), and a near-empty SPCF makes a
         # useless weight metric — the paper's Delta is a free threshold.
-        min_count = 1 if mode == "tt" else max(8, self.sim_width // 128)
+        sim_width = self.config.sim_width
+        min_count = 1 if mode == "tt" else max(8, sim_width // 128)
         min_delta = max(1, po_depth // 2)
         fallback = None
         for delta in range(po_depth, min_delta - 1, -1):
             if mode == "tt":
-                if self.spcf_kind == "overapprox":
+                if self.config.spcf_dp == "overapprox":
                     tt = spcf_overapprox_tt(
                         aig, po_index, delta, arrivals=aig_levels
                     )
@@ -1368,7 +1229,7 @@ class LookaheadOptimizer:
         elif mode == "bdd":
             model = BddModel(pos_net, bdd=bdd_manager)
         else:
-            model = SignatureModel(pos_net, pi_words, self.sim_width)
+            model = SignatureModel(pos_net, pi_words, self.config.sim_width)
         spcf_fn = model.spcf_fn(spcf)
         primary = primary_reduce(
             pos_net, 0, model, spcf_fn, walk_mode=walk_mode,
@@ -1387,12 +1248,12 @@ class LookaheadOptimizer:
             )
         else:
             checker = SatCareChecker(
-                SignatureModel(neg_net, pi_words, self.sim_width),
+                SignatureModel(neg_net, pi_words, self.config.sim_width),
                 care_fn,
                 pos_net,
                 primary.sigma_nid,
                 neg_net,
-                sat_portfolio=self.sat_portfolio,
+                sat_portfolio=self.config.sat_portfolio,
             )
         secondary_simplify(neg_net, 0, checker, max_nodes=24)
         return po_index, pos_net, primary.sigma_nid, neg_net
@@ -1441,7 +1302,9 @@ class LookaheadOptimizer:
             y_neg = neg_lits[root_n]
             if neg_n:
                 y_neg = lit_not(y_neg)
-            recon = reconstruct(builder, sigma, y_pos, y_neg, self.use_rules)
+            recon = reconstruct(
+                builder, sigma, y_pos, y_neg, self.config.use_rules
+            )
             original = aig.copy_cone(scratch, smap, [po_lit])[0]
             # Keep the original cone when the reconstruction did not win.
             if builder.level(recon) < builder.level(original):
@@ -1479,7 +1342,9 @@ def optimize_lookahead(aig: AIG, **kwargs) -> AIG:
         return opt.optimize(aig)
 
 
-def make_runtime_optimizer(**kwargs) -> LookaheadOptimizer:
+def make_runtime_optimizer(
+    config: Optional[OptimizerConfig] = None, **kwargs
+) -> LookaheadOptimizer:
     """An optimizer wired to the *already configured* runtime store.
 
     ``LookaheadOptimizer(store=spec)`` calls ``store_runtime.configure``,
@@ -1497,4 +1362,4 @@ def make_runtime_optimizer(**kwargs) -> LookaheadOptimizer:
         "configure it once via store_runtime.configure"
     )
     kwargs.setdefault("cache", ConeCache(store=store_runtime.get_store()))
-    return LookaheadOptimizer(**kwargs)
+    return LookaheadOptimizer(config, **kwargs)

@@ -57,8 +57,8 @@ class SatCareChecker:
 
     A cube of node ``j`` is unreachable iff ``!Σ1 AND (fan-ins of j in
     cube)`` is UNSAT over the primary network (which contains the Σ1
-    node) and the *current* secondary network, sharing their PIs.  Every
-    portfolio mode, ``off`` included, answers that query on one
+    node) and the *current* secondary network, sharing their PIs.  Both
+    portfolio modes answer that query with one solver on one
     encoding: the primary network restricted to Σ1's fan-in cone, plus
     the secondary network grown lazily one queried cube cone at a time
     (:meth:`_require_sec_cone`).  The shared ``!Σ1`` assumption is kept
@@ -97,7 +97,7 @@ class SatCareChecker:
         self.secondary_net = secondary_net
         self.portfolio = resolve_portfolio(sat_portfolio)
         self._solver: Optional[Solver] = None  # ``off``: the one solver
-        self._runner: Optional[PortfolioRunner] = None  # racing modes
+        self._runner: Optional[PortfolioRunner] = None  # ``sprint``
         self._sec_vars: Dict[int, int] = {}
         self._pi_vars: List[int] = []
         self._sigma_var = 0
@@ -106,7 +106,6 @@ class SatCareChecker:
         self._wit_model: Optional[SignatureModel] = None
         self._sigma_fp: Optional[int] = None
         self._sec_fps: Optional[Dict[int, int]] = None
-        self._enc_batches: List[tuple] = []
         # Witnesses persisted by earlier invocations (same Σ1 fingerprint
         # over the same PI space) seed the pool — in portfolio modes only.
         # ``off`` promises bit-identical warm and cold runs, and a seeded
@@ -137,7 +136,7 @@ class SatCareChecker:
         self._wit_model = None
 
     def _build(self, config: SolverConfig) -> Solver:
-        """A fresh solver holding the checker's current clause stream.
+        """A fresh solver holding the primary encoding of Σ1's cone.
 
         Restricts the primary encoding to Σ1's cone: the query only
         constrains Σ1, and a SAT answer is a *total* assignment of every
@@ -145,40 +144,27 @@ class SatCareChecker:
         cost.  The secondary network starts *empty* (PIs only) and grows
         lazily, one queried cube cone at a time (see
         :meth:`_require_sec_cone`) — the median query constrains a few
-        dozen of its hundreds of nodes.  Every solver built here replays
-        the identical clause stream (primary cone, then the recorded cone
-        batches in order), so the variable maps from the first build hold
-        for all of them.
+        dozen of its hundreds of nodes.
         """
         solver = Solver(config)
         prim_vars = encode_network(
             solver, self.primary_net, roots=[self.sigma_nid]
         )
         pi_vars = [prim_vars[pi] for pi in self.primary_net.pis]
-        sec_vars = dict(zip(self.secondary_net.pis, pi_vars))
-        for batch in self._enc_batches:
-            encode_network(
-                solver,
-                self.secondary_net,
-                pi_vars=pi_vars,
-                roots=batch,
-                var_of=sec_vars,
-            )
-        self._sec_vars = sec_vars
+        self._sec_vars = dict(zip(self.secondary_net.pis, pi_vars))
         self._pi_vars = pi_vars
         self._sigma_var = prim_vars[self.sigma_nid]
         return solver
 
-    def _ensure_solvers(self) -> None:
-        """Build the ``off`` solver or the portfolio's baseline racer."""
-        if self._solver is not None or self._runner is not None:
-            return
-        self._enc_batches = []
+    def _ensure_solver(self) -> Solver:
+        """The ``off`` solver or the sprint runner's, built on first use."""
         if self.portfolio.mode == "off":
-            self._solver = self._build(DEFAULT_CONFIG)
-        else:
+            if self._solver is None:
+                self._solver = self._build(DEFAULT_CONFIG)
+            return self._solver
+        if self._runner is None:
             self._runner = PortfolioRunner(self.portfolio, self._build)
-            self._runner.solver(0)  # materialize the maps for queries
+        return self._runner.solver()
 
     def _require_sec_cone(self, roots: List[int]) -> None:
         """Lazily encode the fan-in cones of ``roots`` into every solver.
@@ -194,24 +180,15 @@ class SatCareChecker:
         """
         if all(r in self._sec_vars for r in roots):
             return
-        batch = tuple(roots)
-        self._enc_batches.append(batch)
-        base = dict(self._sec_vars)
-        if self._runner is not None:
-            built = self._runner.built()
-        else:
-            built = [(0, self._solver)]
-        for index, solver in built:
-            solver.reset()  # clauses may only be added at level 0
-            encode_network(
-                solver,
-                self.secondary_net,
-                pi_vars=self._pi_vars,
-                roots=batch,
-                # Identical clause streams give identical numbering, so
-                # only the first solver needs to grow the shared map.
-                var_of=self._sec_vars if index == 0 else dict(base),
-            )
+        solver = self._ensure_solver()
+        solver.reset()  # clauses may only be added at level 0
+        encode_network(
+            solver,
+            self.secondary_net,
+            pi_vars=self._pi_vars,
+            roots=tuple(roots),
+            var_of=self._sec_vars,
+        )
 
     def _query_key(self, nid: int, cube: Cube):
         """UnsatCache key: everything the query's verdict depends on.
@@ -292,9 +269,8 @@ class SatCareChecker:
     def _harvest_witness(self, solver: Solver) -> None:
         """Pool a SAT model's PI assignment as a witness.
 
-        ``solver`` is whichever solver produced the model — the one
-        solver in ``off`` mode, or the winning racer — so witnesses found
-        by any configuration feed every later fast-path check.
+        ``solver`` is the checker's one solver, in either portfolio mode;
+        witnesses feed every later fast-path check.
         """
         if len(self._witness_pis) >= WITNESS_POOL_LIMIT:
             return
@@ -348,15 +324,15 @@ class SatCareChecker:
         if wit is not None and wit.cube_condition(nid, cube):
             perf.incr("secondary.witness.hit")
             return False
-        # Racing modes consult the process-global UNSAT cache; ``off``
+        # ``sprint`` consults the process-global UNSAT cache; ``off``
         # never does, so its verdicts cannot depend on cache or store
         # state (warm == cold, serial == parallel).
-        racing = self.portfolio.mode != "off"
-        if racing:
+        sprint = self.portfolio.mode != "off"
+        if sprint:
             key = self._query_key(nid, cube)
             if GLOBAL_UNSAT_CACHE.hit(key):
                 return True
-        self._ensure_solvers()
+        solver = self._ensure_solver()
         node = self.secondary_net.nodes[nid]
         self._require_sec_cone(
             [node.fanins[var] for var, _ in cube.literals()]
@@ -371,15 +347,13 @@ class SatCareChecker:
         # workloads re-deriving that prefix dominates the per-query cost.
         perf.incr("secondary.sat.calls")
         start = time.perf_counter()
-        if racing:
+        if sprint:
             result = self._runner.solve(
                 assumptions,
                 baseline_conflicts=self.max_conflicts,
                 keep_prefix=1,
             )
-            solver = self._runner.winner
         else:
-            solver = self._solver
             result = solver.solve(
                 assumptions, max_conflicts=self.max_conflicts, keep_prefix=1
             )
@@ -388,7 +362,7 @@ class SatCareChecker:
             perf.incr("secondary.sat.unknown")
         elif result:
             self._harvest_witness(solver)
-        elif racing:
+        elif sprint:
             GLOBAL_UNSAT_CACHE.add(key)
         return result is False
 

@@ -298,10 +298,6 @@ class SpcfTierConfig:
     floating-mode arrival bound to the DP; it is only ever *applied* when
     the cone is small enough (``exhaustive_limit``) for the bound to be a
     proof, so truth-table tiers stay bit-identical to the unfiltered DP.
-    ``sat_portfolio`` is the solver policy of the cone-processing task
-    this config describes (see :mod:`repro.sat.portfolio`); the SPCF
-    kernels themselves are SAT-free, so the field rides along for the
-    downstream care checker and stays out of :meth:`key`.
     """
 
     __slots__ = (
@@ -312,7 +308,6 @@ class SpcfTierConfig:
         "prefilter",
         "exhaustive_limit",
         "force",
-        "sat_portfolio",
     )
 
     def __init__(
@@ -324,7 +319,6 @@ class SpcfTierConfig:
         prefilter: bool = True,
         exhaustive_limit: int = EXHAUSTIVE_PI_LIMIT,
         force: Optional[str] = None,
-        sat_portfolio: str = "off",
     ):
         if force not in (None, "exact", "overapprox", "signature"):
             raise ValueError(f"unknown SPCF tier {force!r}")
@@ -335,16 +329,9 @@ class SpcfTierConfig:
         self.prefilter = prefilter
         self.exhaustive_limit = exhaustive_limit
         self.force = force
-        self.sat_portfolio = sat_portfolio
 
     def key(self) -> Tuple:
-        """Hashable identity for cache keys (anything result-affecting).
-
-        ``sat_portfolio`` is deliberately excluded: the SPCF kernels run
-        no SAT queries, so the portfolio mode cannot affect their results
-        and including it would only split otherwise-shareable memo
-        entries.
-        """
+        """Hashable identity for cache keys (anything result-affecting)."""
         return (
             self.exact_limit,
             self.overapprox_limit,

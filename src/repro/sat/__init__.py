@@ -1,9 +1,8 @@
-"""CDCL SAT solving, CNF encodings of AIGs, and portfolio racing."""
+"""CDCL SAT solving, CNF encodings of AIGs, and sprint scheduling."""
 
 from .solver import DEFAULT_CONFIG, Solver, SolverConfig, luby
 from .cnf import AigCnf, implies, is_satisfiable
 from .portfolio import (
-    DEFAULT_CONFIGS,
     GLOBAL_UNSAT_CACHE,
     MODES as PORTFOLIO_MODES,
     PortfolioConfig,
@@ -16,7 +15,6 @@ __all__ = [
     "Solver",
     "SolverConfig",
     "DEFAULT_CONFIG",
-    "DEFAULT_CONFIGS",
     "luby",
     "AigCnf",
     "implies",

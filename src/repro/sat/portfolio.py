@@ -1,108 +1,55 @@
-"""SAT portfolio racing: sprint passes, escalation, and config races.
+"""SAT sprint scheduling and the shared UNSAT cache.
 
 Solver-bound queries in the lookahead flow (cube reachability in
 secondary simplification, redundancy proofs in area recovery) have
 heavy-tailed runtimes: most resolve in a handful of conflicts, a few eat
-the whole budget.  The classic remedy is a portfolio — run several solver
-configurations with genuinely different search trajectories and take the
-first answer.  This module implements a deterministic variant:
+the whole budget.  ``sprint`` mode answers each query with a cheap
+**sprint** pass first — a small conflict budget that settles the easy
+majority outright — and **escalates** the same solver up to the
+caller's full budget only when the sprint cannot settle it.  Repeat
+queries across rounds, Δ values, and outputs short-circuit through
+**sharing**: UNSAT verdicts are memoized in a process-global
+:class:`UnsatCache` keyed by structural fingerprints, and SAT witnesses
+flow into the caller's witness pool.
 
-* a cheap **sprint** pass first: the baseline configuration with a small
-  conflict budget settles the easy majority of queries outright;
-* **escalation** only for queries the sprint cannot settle — in ``sprint``
-  mode the same solver simply continues up to the caller's full budget,
-  in ``race`` mode every configuration gets round-robin slices with
-  doubling conflict budgets until one answers or all hit the cap;
-* **sharing**: SAT witnesses harvested from whichever racer wins flow
-  into the caller's witness pool, and UNSAT verdicts are memoized in a
-  process-global :class:`UnsatCache` keyed by structural fingerprints so
-  repeat queries across rounds, Δ values, and outputs short-circuit.
-
-Determinism: the schedule is a fixed rotation with fixed budgets — no
-wall-clock, no threads — so a given mode is reproducible run-to-run.
 ``off`` builds no runner and never touches the UNSAT cache: callers
-answer each query with one baseline solver on the same (restricted,
-lazily grown) encoding the racers use, so ``off`` is deterministic and
-independent of cache and store state, but not SAT-call-identical to
-flows that encoded the full formula.
+answer each query with one solver on the same (restricted, lazily grown)
+encoding, so ``off`` is deterministic and independent of cache and store
+state.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .. import perf
 from ..store import MemoryStore, Namespace
 from ..store import runtime as store_runtime
-from .solver import Solver, SolverConfig
+from .solver import DEFAULT_CONFIG, Solver, SolverConfig
 
-MODES = ("off", "sprint", "race")
+MODES = ("off", "sprint")
 """Portfolio modes, in increasing order of machinery per query."""
-
-DEFAULT_CONFIGS: Tuple[SolverConfig, ...] = (
-    SolverConfig(name="base"),
-    SolverConfig(name="jitter", seed=11, polarity="random"),
-    SolverConfig(
-        name="geo-neg",
-        restart="geometric",
-        restart_base=100,
-        polarity="false",
-        phase_saving=False,
-    ),
-    SolverConfig(
-        name="geo-db",
-        seed=23,
-        restart="geometric",
-        restart_base=150,
-        learned_limit=4096,
-    ),
-)
-"""The stock racer set: the baseline plus three diversified strategies."""
 
 
 class PortfolioConfig:
-    """How solver-bound queries are scheduled across configurations."""
+    """How solver-bound queries are scheduled."""
 
-    __slots__ = ("mode", "configs", "sprint_conflicts", "race_start", "race_limit")
+    __slots__ = ("mode", "sprint_conflicts")
 
-    def __init__(
-        self,
-        mode: str = "off",
-        configs: Sequence[SolverConfig] = DEFAULT_CONFIGS,
-        sprint_conflicts: int = 64,
-        race_start: int = 128,
-        race_limit: int = 4096,
-    ) -> None:
+    def __init__(self, mode: str = "off", sprint_conflicts: int = 64) -> None:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        configs = tuple(configs)
-        if not configs:
-            raise ValueError("at least one solver configuration required")
-        names = [c.name for c in configs]
-        if len(set(names)) != len(names):
-            raise ValueError(f"config names must be unique, got {names}")
         if sprint_conflicts < 1:
             raise ValueError("sprint_conflicts must be >= 1")
-        if race_start < 1 or race_limit < race_start:
-            raise ValueError("need 1 <= race_start <= race_limit")
         self.mode = mode
-        self.configs = configs
         self.sprint_conflicts = sprint_conflicts
-        self.race_start = race_start
-        self.race_limit = race_limit
 
     def key(self) -> Tuple:
         """Hashable identity (for result caches keyed on configuration)."""
-        return (
-            self.mode,
-            tuple(c.key() for c in self.configs),
-            self.sprint_conflicts,
-            self.race_start,
-            self.race_limit,
-        )
+        return (self.mode, self.sprint_conflicts)
 
     def __repr__(self) -> str:
-        return f"PortfolioConfig({self.mode!r}, {len(self.configs)} configs)"
+        return f"PortfolioConfig({self.mode!r})"
 
 
 PortfolioSpec = Union[None, str, PortfolioConfig]
@@ -180,13 +127,11 @@ live in the persistent store and survive across invocations."""
 
 
 class PortfolioRunner:
-    """Schedules one query stream across lazily built racer solvers.
+    """Schedules one query stream on a lazily built sprint solver.
 
     ``build`` encodes the caller's formula into a fresh :class:`Solver`
-    for a given configuration.  Racers beyond the baseline are only built
-    on first escalation, so workloads the sprint fully settles never pay
-    for extra encodings.  All racers see identical clause streams, hence
-    identical variable numbering — callers may reuse one variable map.
+    for a given configuration; it runs on first use, so a stream the
+    caller settles without SAT never pays for an encoding.
     """
 
     def __init__(
@@ -195,34 +140,20 @@ class PortfolioRunner:
         build: Callable[[SolverConfig], Solver],
     ) -> None:
         if config.mode == "off":
-            raise ValueError("PortfolioRunner requires a racing mode")
+            raise ValueError("PortfolioRunner requires a sprint mode")
         self.config = config
         self._build = build
-        self._solvers: List[Optional[Solver]] = [None] * len(config.configs)
+        self._solver: Optional[Solver] = None
         self.winner: Optional[Solver] = None
 
-    def solver(self, index: int = 0) -> Solver:
-        """The racer for config ``index``, built on first use."""
-        s = self._solvers[index]
-        if s is None:
-            s = self._build(self.config.configs[index])
-            self._solvers[index] = s
-        return s
-
-    def built(self) -> List[Tuple[int, Solver]]:
-        """The racers that exist right now, as (config index, solver).
-
-        Callers that extend the shared formula incrementally (lazy cone
-        encoding) must feed the new clauses to every *built* racer;
-        racers built later replay the extended clause stream via
-        ``build``, so the streams stay identical either way.
-        """
-        return [
-            (i, s) for i, s in enumerate(self._solvers) if s is not None
-        ]
+    def solver(self) -> Solver:
+        """The sprint solver, built on first use."""
+        if self._solver is None:
+            self._solver = self._build(DEFAULT_CONFIG)
+        return self._solver
 
     def model_value(self, ext: int) -> Optional[bool]:
-        """Model literal value from the winning racer (None if no winner)."""
+        """Model literal value of the last answer (None if unsettled)."""
         return self.winner.model_value(ext) if self.winner is not None else None
 
     def solve(
@@ -235,10 +166,10 @@ class PortfolioRunner:
 
         ``baseline_conflicts`` is the budget the caller would have given a
         single solver; the sprint spends at most ``sprint_conflicts`` of
-        it and ``sprint`` mode escalates up to exactly the remainder, so
-        an UNKNOWN means an unassisted baseline query would (modulo
-        restart phasing) have been UNKNOWN too.  ``keep_prefix`` is
-        forwarded to every racer (each retains its own assumption trail).
+        it and escalation continues up to exactly the remainder (None:
+        unbounded), so an UNKNOWN means an unassisted baseline query would
+        (modulo restart phasing) have been UNKNOWN too.  ``keep_prefix``
+        is forwarded to the solver.
         """
         cfg = self.config
         perf.incr("sat.portfolio.queries")
@@ -246,16 +177,15 @@ class PortfolioRunner:
         sprint_budget = cfg.sprint_conflicts
         if baseline_conflicts is not None:
             sprint_budget = min(sprint_budget, baseline_conflicts)
-        primary = self.solver(0)
-        before = primary.num_conflicts
-        result = primary.solve(
+        solver = self.solver()
+        before = solver.num_conflicts
+        result = solver.solve(
             assumptions, max_conflicts=sprint_budget, keep_prefix=keep_prefix
         )
-        spent = primary.num_conflicts - before
+        spent = solver.num_conflicts - before
         if result is not None:
-            self.winner = primary
+            self.winner = solver
             perf.incr("sat.portfolio.sprint_wins")
-            perf.incr(f"sat.portfolio.win.{cfg.configs[0].name}")
             if baseline_conflicts is not None and baseline_conflicts > spent:
                 perf.incr(
                     "sat.portfolio.conflicts_saved",
@@ -263,41 +193,14 @@ class PortfolioRunner:
                 )
             return result
         perf.incr("sat.portfolio.escalations")
-        if cfg.mode == "sprint":
-            full = (
-                baseline_conflicts
-                if baseline_conflicts is not None
-                else cfg.race_limit
-            )
-            remaining = full - spent
+        remaining = None
+        if baseline_conflicts is not None:
+            remaining = baseline_conflicts - spent
             if remaining <= 0:
                 return None
-            result = primary.solve(
-                assumptions, max_conflicts=remaining, keep_prefix=keep_prefix
-            )
-            if result is not None:
-                self.winner = primary
-                perf.incr(f"sat.portfolio.win.{cfg.configs[0].name}")
-            return result
-        perf.incr("sat.portfolio.races")
-        budget = cfg.race_start
-        spent_per = [spent] + [0] * (len(cfg.configs) - 1)
-        while True:
-            progressed = False
-            for i in range(len(cfg.configs)):
-                if spent_per[i] >= cfg.race_limit:
-                    continue
-                progressed = True
-                racer = self.solver(i)
-                before = racer.num_conflicts
-                result = racer.solve(
-                    assumptions, max_conflicts=budget, keep_prefix=keep_prefix
-                )
-                spent_per[i] += racer.num_conflicts - before
-                if result is not None:
-                    self.winner = racer
-                    perf.incr(f"sat.portfolio.win.{cfg.configs[i].name}")
-                    return result
-            if not progressed:
-                return None
-            budget *= 2
+        result = solver.solve(
+            assumptions, max_conflicts=remaining, keep_prefix=keep_prefix
+        )
+        if result is not None:
+            self.winner = solver
+        return result

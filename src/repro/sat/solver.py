@@ -4,11 +4,10 @@ Features: two-literal watching, first-UIP conflict analysis with clause
 learning, VSIDS decision heuristic with an indexed heap, phase saving, Luby
 restarts, and incremental solving under assumptions.
 
-The search strategy is parameterized by :class:`SolverConfig` so a
-portfolio can race configurations with genuinely different trajectories
-(seeded activity jitter, polarity modes, Luby vs. geometric restarts,
-clause-DB limits).  The default configuration reproduces the historical
-single-config behavior bit-for-bit.
+The search strategy is parameterized by :class:`SolverConfig` (seeded
+activity jitter, polarity modes, Luby vs. geometric restarts, clause-DB
+limits).  Production paths use the default configuration; the other
+levers are pinned by the trajectory tests.
 
 External literals use the DIMACS convention: variable ``v`` (1-based) is the
 positive literal ``v`` and the negative literal ``-v``.
@@ -50,8 +49,8 @@ def luby(i: int) -> int:
 class SolverConfig:
     """Search-strategy parameters of one :class:`Solver` instance.
 
-    Every field is a lever the portfolio layer uses to make racers explore
-    different trajectories on the same formula:
+    Every field is a lever that gives the search a different trajectory
+    on the same formula:
 
     * ``seed`` — when set, a per-solver RNG jitters initial variable
       activities (diversifying VSIDS tie-breaking) and drives the
@@ -273,7 +272,7 @@ class Solver:
         if self._rng is None:
             self.activity.append(0.0)
         else:
-            # Sub-unit jitter: diversifies VSIDS tie-breaking across racers
+            # Sub-unit jitter: diversifies VSIDS tie-breaking across seeds
             # without outweighing a single real activity bump.
             self.activity.append(self._rng.random() * 1e-3)
         self.phase.append(0)

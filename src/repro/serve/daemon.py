@@ -19,7 +19,7 @@ Anatomy:
   optimizer back-to-back, so the persistent worker pool and the hot
   in-memory store tier never cool between them.
 * **Optimizer pool** — one :class:`LookaheadOptimizer` per distinct job
-  config (:func:`repro.core.flow.job_config_key`), kept alive across
+  config key (:meth:`repro.core.OptimizerConfig.key`), kept alive across
   jobs.  Its ``ProcessPoolExecutor`` is the persistent worker pool that
   shards per-output cone tasks; workers adopt the store through the
   picklable spec shipped in task tuples, exactly as on the CLI path.
@@ -62,9 +62,9 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from .. import perf
 from ..aig import AIG, depth, read_aag, read_blif, write_aag
 from ..cec import check_equivalence
+from ..core.config import OptimizerConfig
 from ..core.flow import (
     execute_optimize_job,
-    job_config_key,
     make_job_optimizer,
     normalize_job_config,
 )
@@ -97,14 +97,14 @@ class Job:
     def __init__(
         self,
         job_id: int,
-        config: Dict[str, Any],
+        config: OptimizerConfig,
         aig: AIG,
         timeout: float,
         return_circuit: bool,
     ) -> None:
         self.id = job_id
         self.config = config
-        self.key = job_config_key(config)
+        self.key = config.key()
         self.aig = aig
         self.timeout = timeout
         self.submitted = time.monotonic()
@@ -417,7 +417,7 @@ class ReproDaemon:
             config = normalize_job_config(request.get("options"))
         except ValueError as exc:
             raise ServeError(str(exc), code="bad-request")
-        arrivals = config.get("arrivals")
+        arrivals = config.arrival_times
         if arrivals:
             unknown = sorted(set(arrivals) - set(aig.pi_names))
             if unknown:
@@ -597,7 +597,7 @@ class ReproDaemon:
             optimized = execute_optimize_job(
                 job.aig, job.config, optimizer=entry.optimizer
             )
-            if job.config["verify"] and not check_equivalence(
+            if job.config.verify and not check_equivalence(
                 job.aig, optimized
             ):
                 raise AssertionError("optimized circuit is not equivalent")

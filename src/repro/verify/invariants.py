@@ -189,17 +189,17 @@ def spcf_tiers_agree(case: Case) -> Optional[str]:
 def sat_portfolio_agree(case: Case) -> Optional[str]:
     """Every SAT portfolio mode upholds the optimizer contract.
 
-    Racing modes may settle borderline (budget-limited) queries that the
-    single-config flow left UNKNOWN — and an UNSAT-cache hit can upgrade
-    one — so outputs are deliberately *not* bit-compared across modes
+    ``sprint`` may settle borderline (budget-limited) queries that ``off``
+    left UNKNOWN — and an UNSAT-cache hit can upgrade one — so outputs
+    are deliberately *not* bit-compared across modes
     (see DESIGN 3.19).  What must hold for every mode: the output is
     CEC-equivalent to the input, the never-worse depth gate passes, and
     a repeat run from the same cache state is bit-identical.
     """
-    from ..sat.portfolio import GLOBAL_UNSAT_CACHE
+    from ..sat.portfolio import GLOBAL_UNSAT_CACHE, MODES
 
     before = _depth(case.aig, case)
-    for mode in ("off", "sprint", "race"):
+    for mode in MODES:
         GLOBAL_UNSAT_CACHE.clear()  # pin the ambient cache state (purity)
         with case.optimizer(workers=1, sat_portfolio=mode) as opt:
             out = opt.optimize(case.aig)

@@ -83,7 +83,7 @@ def random_arrival_map(
 
 
 def random_config(rng: random.Random) -> Dict:
-    """Random :class:`~repro.core.LookaheadOptimizer` keyword arguments.
+    """Random :class:`~repro.core.OptimizerConfig` fields, as a kwargs dict.
 
     Bounded to keep a single fuzz case sub-second: few rounds, narrow
     simulation, and the BDD mode is reached through ``auto`` only (its
@@ -93,7 +93,7 @@ def random_config(rng: random.Random) -> Dict:
     return {
         "max_rounds": rng.randint(1, 3),
         "mode": rng.choice(("auto", "tt", "sim")),
-        "spcf_kind": rng.choice(("exact", "overapprox")),
+        "spcf_tier": rng.choice(("auto", "overapprox")),
         "sim_width": rng.choice((128, 256)),
         "seed": rng.randint(0, 3),
         "use_rules": rng.random() < 0.8,

@@ -8,7 +8,6 @@ from repro.adders import ripple_carry_adder
 from repro.cec import check_equivalence
 from repro.core import (
     execute_optimize_job,
-    job_config_key,
     normalize_job_config,
 )
 from repro.store import runtime as store_runtime
@@ -24,9 +23,9 @@ def _isolated_runtime():
 class TestNormalize:
     def test_defaults(self):
         config = normalize_job_config(None)
-        assert config["flow"] == "lookahead"
-        assert config["arrivals"] is None
-        assert config["verify"] is False
+        assert config.flow == "lookahead"
+        assert config.arrival_times is None
+        assert config.verify is False
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
@@ -38,16 +37,20 @@ class TestNormalize:
 
     def test_arrival_validation(self):
         config = normalize_job_config({"arrivals": {"a0": 3}})
-        assert config["arrivals"] == {"a0": 3}
+        assert config.arrival_times == {"a0": 3}
         for bad in ({}, {"a0": "3"}, {"a0": True}, {3: 1}, [("a0", 3)]):
             with pytest.raises(ValueError):
                 normalize_job_config({"arrivals": bad})
 
-    def test_effort_knobs_default_to_none(self):
-        config = normalize_job_config(None)
-        for knob in ("max_rounds", "max_outputs_per_round", "sim_width",
-                     "walk_modes", "max_iterations"):
-            assert config[knob] is None
+    def test_effort_knobs_default_to_flow_presets(self):
+        flow = normalize_job_config(None)
+        assert (flow.max_rounds, flow.max_outputs_per_round) == (16, 8)
+        only = normalize_job_config({"flow": "lookahead-only"})
+        assert (only.max_rounds, only.max_outputs_per_round) == (12, None)
+        for config in (flow, only):
+            assert config.sim_width == 1024
+            assert config.walk_modes == ("target", "full")
+            assert config.max_iterations == 4
 
     def test_effort_knob_validation(self):
         config = normalize_job_config({
@@ -57,8 +60,8 @@ class TestNormalize:
             "walk_modes": ("target",),
             "max_iterations": 2,
         })
-        assert config["max_rounds"] == 3
-        assert config["walk_modes"] == ["target"]  # JSON-compatible
+        assert config.max_rounds == 3
+        assert config.walk_modes == ("target",)
         for bad in (
             {"max_rounds": 0},
             {"max_rounds": True},
@@ -75,12 +78,12 @@ class TestNormalize:
     def test_effort_knobs_distinguish_configs(self):
         base = normalize_job_config(None)
         bounded = normalize_job_config({"max_rounds": 4, "sim_width": 512})
-        assert job_config_key(base) != job_config_key(bounded)
+        assert base.key() != bounded.key()
         # walk-mode order is part of the identity (candidate order
         # matters to the optimizer).
         modes_a = normalize_job_config({"walk_modes": ["target", "full"]})
         modes_b = normalize_job_config({"walk_modes": ["full", "target"]})
-        assert job_config_key(modes_a) != job_config_key(modes_b)
+        assert modes_a.key() != modes_b.key()
 
     def test_make_job_optimizer_applies_knobs(self):
         from repro.core.flow import make_job_optimizer
@@ -93,10 +96,10 @@ class TestNormalize:
         })
         opt = make_job_optimizer(config, workers=1)
         try:
-            assert opt.max_rounds == 4
-            assert opt.max_outputs_per_round == 6
-            assert opt.sim_width == 512
-            assert opt.walk_modes == ("target",)
+            assert opt.config.max_rounds == 4
+            assert opt.config.max_outputs_per_round == 6
+            assert opt.config.sim_width == 512
+            assert opt.config.walk_modes == ("target",)
         finally:
             opt.close()
 
@@ -106,10 +109,10 @@ class TestNormalize:
         verified = normalize_job_config(
             {"arrivals": {"a": 1, "b": 2}, "verify": True}
         )
-        assert job_config_key(base) == job_config_key(reordered)
-        assert job_config_key(base) == job_config_key(verified)
+        assert base.key() == reordered.key()
+        assert base.key() == verified.key()
         other = normalize_job_config({"arrivals": {"a": 1, "b": 3}})
-        assert job_config_key(base) != job_config_key(other)
+        assert base.key() != other.key()
 
 
 class TestExecute:

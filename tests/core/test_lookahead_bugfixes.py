@@ -72,7 +72,7 @@ class TestWindowSelection:
 
             engine = AigTimingEngine(aig, opt._delay_model())
             critical = list(range(len(aig.pos)))  # every PO eligible
-            net = renode(aig, opt.k)
+            net = renode(aig, opt.config.k)
             perf.reset()
             rebuilt = opt._windowed_round(
                 aig, lambda: net, critical,
@@ -98,7 +98,7 @@ class TestWindowSelection:
             from repro.timing import AigTimingEngine
 
             engine = AigTimingEngine(aig, opt._delay_model())
-            net = renode(aig, opt.k)
+            net = renode(aig, opt.config.k)
             rebuilt = opt._windowed_round(
                 aig, lambda: net, list(range(len(aig.pos))),
                 engine.arrivals(), opt._resolve_mode(aig), "target",
@@ -162,11 +162,13 @@ class TestQualityCaching:
 
 
 class TestWalkModeValidation:
-    BAD = ("bogus",)
+    # An unknown mode, and a repeat (which would run one walk twice and
+    # give one behaviour two config keys).
+    BAD = (("bogus",), ("target", "target"))
 
-    def expected_message(self):
+    def expected_message(self, bad):
         try:
-            validate_walk_modes(self.BAD)
+            validate_walk_modes(bad)
         except ValueError as exc:
             return str(exc)
         raise AssertionError("validator accepted a bad walk mode")
@@ -177,21 +179,23 @@ class TestWalkModeValidation:
         assert validate_walk_modes(list(WALK_MODES)) == WALK_MODES
 
     def test_validator_rejects_bad_shapes(self):
-        for bad in ("target", [], (), None, 42, ["target", "bogus"]):
+        for bad in ("target", [], (), None, 42, ["target", "bogus"],
+                    ["full", "full"]):
             with pytest.raises(ValueError):
                 validate_walk_modes(bad)
 
     def test_constructor_flow_and_jobs_reject_identically(self):
-        message = self.expected_message()
-        with pytest.raises(ValueError) as from_ctor:
-            LookaheadOptimizer(walk_modes=self.BAD)
-        with pytest.raises(ValueError) as from_flow:
-            lookahead_flow(ripple_carry_adder(2), walk_modes=self.BAD)
-        with pytest.raises(ValueError) as from_jobs:
-            normalize_job_config({"walk_modes": list(self.BAD)})
-        assert str(from_ctor.value) == message
-        assert str(from_flow.value) == message
-        assert str(from_jobs.value) == message
+        for bad in self.BAD:
+            message = self.expected_message(bad)
+            with pytest.raises(ValueError) as from_ctor:
+                LookaheadOptimizer(walk_modes=bad)
+            with pytest.raises(ValueError) as from_flow:
+                lookahead_flow(ripple_carry_adder(2), walk_modes=bad)
+            with pytest.raises(ValueError) as from_jobs:
+                normalize_job_config({"walk_modes": list(bad)})
+            assert str(from_ctor.value) == message
+            assert str(from_flow.value) == message
+            assert str(from_jobs.value) == message
 
     def test_cli_rejects_identically(self, tmp_path):
         from repro.aig import write_aag
@@ -200,12 +204,13 @@ class TestWalkModeValidation:
         circuit = tmp_path / "rca2.aag"
         with open(circuit, "w") as fh:
             write_aag(ripple_carry_adder(2), fh)
-        with pytest.raises(ValueError) as from_cli:
-            main([
-                "optimize", str(circuit), "--flow", "lookahead-only",
-                "--walk-modes", "bogus",
-            ])
-        assert str(from_cli.value) == self.expected_message()
+        for bad in self.BAD:
+            with pytest.raises(ValueError) as from_cli:
+                main([
+                    "optimize", str(circuit), "--flow", "lookahead-only",
+                    "--walk-modes", ",".join(bad),
+                ])
+            assert str(from_cli.value) == self.expected_message(bad)
 
     def test_constructor_rejects_before_any_work(self):
         # The error must come from construction, not the first round.

@@ -18,7 +18,6 @@ from repro.adders import ripple_carry_adder
 from repro.aig import write_aag
 from repro.core import (
     LookaheadOptimizer,
-    job_config_key,
     lookahead_flow,
     normalize_job_config,
 )
@@ -221,17 +220,17 @@ class TestJobOptions:
     def test_job_key_tracks_model_fingerprint(self):
         m1 = passthrough_model()
         m2 = passthrough_model(meta={"variant": 2})
-        base = job_config_key(normalize_job_config(None))
-        k1 = job_config_key(normalize_job_config(
+        base = normalize_job_config(None).key()
+        k1 = normalize_job_config(
             {"rank": "prune", "rank_model": m1.payload()}
-        ))
-        k2 = job_config_key(normalize_job_config(
+        ).key()
+        k2 = normalize_job_config(
             {"rank": "prune", "rank_model": m2.payload()}
-        ))
+        ).key()
         assert base != k1 and k1 != k2
-        again = job_config_key(normalize_job_config(
+        again = normalize_job_config(
             {"rank": "prune", "rank_model": m1.payload()}
-        ))
+        ).key()
         assert k1 == again
 
 

@@ -12,7 +12,8 @@ from repro.sat import (
     UnsatCache,
     resolve_portfolio,
 )
-from repro.sat.portfolio import DEFAULT_CONFIGS
+
+from .test_solver_trajectory import LEVER_CONFIGS
 
 
 def _random_cnf(rng, n_vars, n_clauses, width=3):
@@ -77,13 +78,13 @@ class TestSolverConfig:
             SolverConfig(var_decay=0.0)
 
     def test_all_configs_agree_on_random_cnfs(self):
-        """Every stock configuration is a complete, correct solver."""
+        """Every lever configuration is a complete, correct solver."""
         rng = random.Random(7)
         for trial in range(60):
             n = rng.randint(3, 8)
             clauses = _random_cnf(rng, n, rng.randint(4, 24))
             expected = _brute_force_sat(clauses, n)
-            for config in DEFAULT_CONFIGS:
+            for config in LEVER_CONFIGS:
                 s = Solver(config)
                 live = True
                 for clause in clauses:
@@ -176,17 +177,13 @@ class TestPortfolioConfig:
         with pytest.raises(ValueError):
             PortfolioConfig(mode="warp")
         with pytest.raises(ValueError):
-            PortfolioConfig(configs=())
-        with pytest.raises(ValueError):
-            PortfolioConfig(configs=(SolverConfig(), SolverConfig()))
+            PortfolioConfig(mode="race")  # removed: never won a query
         with pytest.raises(ValueError):
             PortfolioConfig(sprint_conflicts=0)
-        with pytest.raises(ValueError):
-            PortfolioConfig(race_start=100, race_limit=50)
 
     def test_resolve(self):
         assert resolve_portfolio().mode == "off"
-        assert resolve_portfolio("race").mode == "race"
+        assert resolve_portfolio("sprint").mode == "sprint"
         cfg = PortfolioConfig(mode="sprint")
         assert resolve_portfolio(cfg) is cfg
         with pytest.raises(TypeError):
@@ -194,7 +191,7 @@ class TestPortfolioConfig:
 
     def test_key_distinguishes_schedules(self):
         assert (
-            PortfolioConfig(mode="race").key()
+            PortfolioConfig(mode="off").key()
             != PortfolioConfig(mode="sprint").key()
         )
         assert (
@@ -226,18 +223,30 @@ class TestUnsatCache:
         assert len(cache) == 0
 
 
-def _runner(mode, clauses, configs=DEFAULT_CONFIGS, **kwargs):
+def _runner(clauses, **kwargs):
     builds = []
 
     def build(config):
         solver = Solver(config)
         for clause in clauses:
             solver.add_clause(list(clause))
-        builds.append(config.name)
+        builds.append(config)
         return solver
 
-    config = PortfolioConfig(mode=mode, configs=configs, **kwargs)
+    config = PortfolioConfig(mode="sprint", **kwargs)
     return PortfolioRunner(config, build), builds
+
+
+def _pigeonhole_clauses(holes, pigeons):
+    def var(p, h):
+        return p * holes + h + 1
+
+    clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                clauses.append([-var(p1, h), -var(p2, h)])
+    return clauses
 
 
 class TestPortfolioRunner:
@@ -246,75 +255,25 @@ class TestPortfolioRunner:
             PortfolioRunner(PortfolioConfig(mode="off"), lambda c: Solver())
 
     def test_sprint_win_builds_only_the_baseline(self):
-        runner, builds = _runner("race", [[1, 2], [-1]])
+        runner, builds = _runner([[1, 2], [-1]])
+        assert builds == []  # the solver is lazy
         assert runner.solve([]) is True
-        assert builds == ["base"]  # racers are lazy
-        assert runner.winner is not None
+        assert builds == [SolverConfig()]  # one baseline build, ever
+        assert runner.winner is runner.solver()
         assert runner.model_value(2) is True
-        assert runner.built() == [(0, runner.solver(0))]
 
     def test_sprint_mode_escalates_on_same_solver(self):
-        holes, pigeons = 4, 5
-
-        def var(p, h):
-            return p * holes + h + 1
-
-        clauses = [
-            [var(p, h) for h in range(holes)] for p in range(pigeons)
-        ]
-        for h in range(holes):
-            for p1 in range(pigeons):
-                for p2 in range(p1 + 1, pigeons):
-                    clauses.append([-var(p1, h), -var(p2, h)])
-        runner, builds = _runner("sprint", clauses, sprint_conflicts=1)
+        clauses = _pigeonhole_clauses(4, 5)
+        runner, builds = _runner(clauses, sprint_conflicts=1)
         assert runner.solve([], baseline_conflicts=100000) is False
-        assert builds == ["base"]  # sprint never builds extra racers
-
-    def test_race_mode_builds_more_racers_on_hard_queries(self):
-        holes, pigeons = 5, 6
-
-        def var(p, h):
-            return p * holes + h + 1
-
-        clauses = [
-            [var(p, h) for h in range(holes)] for p in range(pigeons)
-        ]
-        for h in range(holes):
-            for p1 in range(pigeons):
-                for p2 in range(p1 + 1, pigeons):
-                    clauses.append([-var(p1, h), -var(p2, h)])
-        runner, builds = _runner(
-            "race", clauses, sprint_conflicts=1, race_start=2, race_limit=4096
-        )
-        assert runner.solve([]) is False
-        assert builds[0] == "base"
-        assert len(builds) > 1  # escalation touched other configurations
-
-    def test_race_all_capped_returns_unknown(self):
-        holes, pigeons = 6, 7
-
-        def var(p, h):
-            return p * holes + h + 1
-
-        clauses = [
-            [var(p, h) for h in range(holes)] for p in range(pigeons)
-        ]
-        for h in range(holes):
-            for p1 in range(pigeons):
-                for p2 in range(p1 + 1, pigeons):
-                    clauses.append([-var(p1, h), -var(p2, h)])
-        runner, _ = _runner(
-            "race", clauses, sprint_conflicts=1, race_start=1, race_limit=2
-        )
-        assert runner.solve([]) is None
-        assert runner.winner is None
+        assert len(builds) == 1  # escalation reuses the sprint solver
 
     def test_runner_is_deterministic(self):
         rng = random.Random(5)
         clauses = _random_cnf(rng, 9, 38)
         results = []
         for _ in range(2):
-            runner, _ = _runner("race", clauses, sprint_conflicts=2)
+            runner, _ = _runner(clauses, sprint_conflicts=2)
             verdict = runner.solve([])
             model = None
             if verdict:
@@ -334,6 +293,5 @@ class TestPortfolioRunner:
             if not live:
                 continue
             expected = ref.solve()
-            for mode in ("sprint", "race"):
-                runner, _ = _runner(mode, clauses, sprint_conflicts=2)
-                assert runner.solve([]) is expected, (mode, trial)
+            runner, _ = _runner(clauses, sprint_conflicts=2)
+            assert runner.solve([]) is expected, trial

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import pytest
 
-from repro.sat import DEFAULT_CONFIGS, Solver, SolverConfig
+from repro.sat import Solver, SolverConfig
 
 Record = Tuple[Optional[bool], int, int, int, Optional[str]]
 
@@ -141,6 +141,28 @@ def _unsat_random(config: Optional[SolverConfig]) -> List[Record]:
 CHURN = SolverConfig(name="churn", learned_limit=16, restart_base=4)
 """Frequent restarts and a tiny clause DB, so _reduce_db runs often."""
 
+LEVER_CONFIGS: Tuple[SolverConfig, ...] = (
+    SolverConfig(name="base"),
+    SolverConfig(name="jitter", seed=11, polarity="random"),
+    SolverConfig(
+        name="geo-neg",
+        restart="geometric",
+        restart_base=100,
+        polarity="false",
+        phase_saving=False,
+    ),
+    SolverConfig(
+        name="geo-db",
+        seed=23,
+        restart="geometric",
+        restart_base=150,
+        learned_limit=4096,
+    ),
+)
+"""The baseline plus three configurations that pull the SolverConfig
+levers (activity jitter, random and fixed polarity, geometric restarts,
+no phase saving, a larger clause DB), so each lever's search is pinned."""
+
 
 INSTANCES: Dict[str, Callable[[], List[Record]]] = {
     "php-5-4": _php_unsat,
@@ -155,7 +177,7 @@ INSTANCES: Dict[str, Callable[[], List[Record]]] = {
     "assumptions-churn": lambda: _assumption_stream(CHURN),
     "keep-prefix-churn": lambda: _keep_prefix_stream(CHURN),
 }
-for _cfg in DEFAULT_CONFIGS:
+for _cfg in LEVER_CONFIGS:
     INSTANCES[f"assumptions-{_cfg.name}"] = (
         lambda cfg=_cfg: _assumption_stream(cfg)
     )

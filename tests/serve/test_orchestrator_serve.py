@@ -19,7 +19,6 @@ from repro.adders import ripple_carry_adder
 from repro.aig import write_aag
 from repro.core.flow import (
     execute_optimize_job,
-    job_config_key,
     normalize_job_config,
 )
 from repro.serve import ReproDaemon, ServeClient
@@ -74,7 +73,7 @@ class TestPoolLimitEviction:
                 }
                 result = client.submit(text, options=options, timeout=120)
                 assert result["depth"] >= 1
-                keys.add(job_config_key(normalize_job_config(options)))
+                keys.add(normalize_job_config(options).key())
             assert len(keys) == 5  # genuinely distinct configs
             with daemon._pool_lock:
                 assert 0 < len(daemon._pool) <= 2
@@ -120,8 +119,8 @@ class TestConcurrentMixedConfigs:
                      "sim_width": 256}
         options_b = {"flow": "lookahead-only", "max_rounds": 2,
                      "walk_modes": ["target"]}
-        key_a = job_config_key(normalize_job_config(options_a))
-        key_b = job_config_key(normalize_job_config(options_b))
+        key_a = normalize_job_config(options_a).key()
+        key_b = normalize_job_config(options_b).key()
         assert key_a != key_b
         local = {
             "a": _local_answer(2, options_a),
